@@ -16,8 +16,8 @@ serves, so daemon traffic shows up alongside batch and bench runs —
 * ``flame``   — render a run's shipped profile windows as a standalone
   flamegraph HTML page,
 * ``explain`` — the router's search introspection for one net: pops vs.
-  the initial bound estimate, escalations, footprint area, and any
-  parallel-wave conflicts/rollbacks that involved it,
+  the initial bound estimate, escalations and their BFS time, footprint
+  area, and any parallel-wave conflicts/rollbacks that involved it,
 * ``diff``    — metric deltas between two runs,
 * ``report``  — self-contained HTML diagnostics report for a run,
 * ``regress`` — compare the latest (or freshly captured) run per workload
@@ -293,6 +293,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                 "escalations": agg.get("escalations", 0),
                 "area": agg.get("area", 0),
                 "seconds": f"{agg.get('seconds', 0.0):.4f}",
+                "bfs_s": f"{agg.get('bfs_s', 0.0):.4f}",
                 "outcome": agg.get("outcome", "?"),
             }
             for net, agg in sorted(
@@ -319,6 +320,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                 "escalations", "failures", "area"):
         print(f"  {key:<14}{agg.get(key, 0)}")
     print(f"  {'seconds':<14}{agg.get('seconds', 0.0):.4f}")
+    print(f"  {'bfs_s':<14}{agg.get('bfs_s', 0.0):.4f}")
     detail = [
         row for row in (search.get("connections") or [])
         if row.get("net") == args.net
@@ -335,6 +337,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                 "escalated": "yes" if row.get("escalated") else "",
                 "found": "yes" if row.get("found") else "NO",
                 "seconds": f"{row.get('seconds', 0.0):.4f}",
+                "bfs_s": f"{row.get('bfs_s', 0.0):.4f}",
             }
             for row in detail
         ]

@@ -57,11 +57,6 @@ class RouterOptions:
     #: crossing-first tie-break only); "reference" = the pre-index
     #: snapshot-rebuilding Dijkstra, kept for benchmarks and verification.
     engine: Engine = "state"
-    #: Run the state engine bidirectionally — a second search grows path
-    #: suffixes from the goal states and the fronts meet in the middle.
-    #: Same exact optimum cost tuples; equal-cost tie-break *paths* may
-    #: differ, so this option is part of the job digest.
-    bidirectional: bool = False
     #: Route conflict-unlikely waves of nets concurrently on threads over
     #: read-only plane views, commit in net order, re-route conflicted
     #: nets serially.  Guaranteed identical output to the serial router —
@@ -327,6 +322,7 @@ def _search_detail(report: RoutingReport) -> dict:
                 "escalations": 0,
                 "area": 0,
                 "seconds": 0.0,
+                "bfs_s": 0.0,
                 "failures": 0,
             },
         )
@@ -338,6 +334,7 @@ def _search_detail(report: RoutingReport) -> dict:
         agg["escalations"] += 1 if row.get("escalated") else 0
         agg["area"] = max(agg["area"], int(row.get("area") or 0))
         agg["seconds"] += float(row.get("seconds", 0.0))
+        agg["bfs_s"] += float(row.get("bfs_s", 0.0))
         agg["failures"] += 0 if row.get("found") else 1
         cost = row.get("cost")
         if row.get("found") and bound and cost:
@@ -350,6 +347,7 @@ def _search_detail(report: RoutingReport) -> dict:
             tightness[bucket] = tightness.get(bucket, 0) + 1
     for name, agg in nets.items():
         agg["seconds"] = round(agg["seconds"], 6)
+        agg["bfs_s"] = round(agg["bfs_s"], 6)
         agg["outcome"] = "failed" if name in failed else "routed"
     if not nets:
         return {}
@@ -533,7 +531,6 @@ def _route_pin_to_targets(
         targets,
         allow=allow,
         cost_order=options.cost_order,
-        bidirectional=options.bidirectional,
         stats=stats,
     )
     if options.verify_optimum:

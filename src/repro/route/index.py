@@ -26,28 +26,41 @@ The index keeps *global* aggregates over all nets:
   point,
 * lazily built per-row/per-column *crossing prefix sums*, so the A*'s
   crossover-aware lower bound can ask "how many crossings would a
-  straight run over ``[a..b]`` pay" in O(log row) instead of O(b-a).
+  straight run over ``[a..b]`` pay" in O(log row) instead of O(b-a),
+* flat per-point *columns* over the plane bounds — ``pass_h``/``pass_v``
+  (a wire moving horizontally/vertically may enter: not blocked, not
+  claimed, no axis block), ``cross_h_col``/``cross_v_col`` (the crossing
+  totals) and ``bend`` (no wire at all) — kept up to date on every
+  mutation, so the state engine reads int-indexed bytes instead of
+  probing tuple-keyed sets.  A point ``(x, y)`` lives at
+  ``((x - x0) << hbits) | (y - y0)``; the bounds are padded by one
+  never-passable cell on every side, so a step off the plane lands on a
+  ``0`` instead of needing a bounds check.
 
-A :class:`NetView` is the routers' per-connection window: it references
-the global maps (the ``hard`` set of blocked and claimed points is never
-copied) plus four small per-net exception sets/dicts computed from the
-net's own contribution map.
+A :class:`NetView` is the routers' per-connection window: one C-level
+slice copy of each column, patched at the net's own points and its
+``allow``/``extra_hard`` exceptions ("all minus own net", O(own net)
+Python work), plus the per-line obstacle stop lists, which are the
+index's cached sorted lists on every line holding none of the net's
+exemptions.
 
 Invariants (checked by ``tests/test_route_index.py`` against a
 rebuilt-from-scratch reference):
 
 * for every point ``p`` and net ``n``: ``contrib[n][p]`` equals the
   contribution recomputed from ``plane.usage``/``plane.nodes``,
-* ``h_block[p] == sum(contrib[n][p].hb)`` and point sets mirror the
-  positive counts (same for ``v_block``/``cross_*``/``occ``),
+* ``h_block[p] == sum(contrib[n][p].hb)``, holding positive counts only
+  (same for ``v_block``/``cross_*``/``occ``),
 * every point of ``blocked | claims`` or with a positive axis block
-  count appears in its row/column obstacle set, and nothing else does.
+  count appears in its row/column obstacle set, and nothing else does,
+* every column entry equals the value recomputed from those aggregates.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Hashable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from ..core.geometry import Orientation, Point
 
@@ -120,12 +133,9 @@ class PlaneIndex:
         "plane",
         "h_block",
         "v_block",
-        "blocked_h_pts",
-        "blocked_v_pts",
         "cross_h",
         "cross_v",
         "occ",
-        "occ_pts",
         "contrib",
         "_rows",
         "_cols",
@@ -135,6 +145,18 @@ class PlaneIndex:
         "_cross_by_col",
         "_cross_rows",
         "_cross_cols",
+        "x1",
+        "y1",
+        "x2",
+        "y2",
+        "x0",
+        "y0",
+        "hbits",
+        "pass_h",
+        "pass_v",
+        "cross_h_col",
+        "cross_v_col",
+        "bend",
     )
 
     def __init__(self, plane: "Plane") -> None:
@@ -142,15 +164,11 @@ class PlaneIndex:
         # point -> number of nets blocking horizontal/vertical entry
         self.h_block: dict[Point, int] = {}
         self.v_block: dict[Point, int] = {}
-        # membership mirrors of the positive counts (hot-loop probes)
-        self.blocked_h_pts: set[Point] = set()
-        self.blocked_v_pts: set[Point] = set()
         # point -> total crossings for horizontal/vertical passage
         self.cross_h: dict[Point, int] = {}
         self.cross_v: dict[Point, int] = {}
         # point -> number of nets using it (any orientation)
         self.occ: dict[Point, int] = {}
-        self.occ_pts: set[Point] = set()
         # net -> point -> (h_block, v_block, cross_h, cross_v) contribution
         self.contrib: dict[str, dict[Point, tuple[int, int, int, int]]] = {}
         # y -> xs blocking horizontal movement / x -> ys blocking vertical
@@ -167,6 +185,34 @@ class PlaneIndex:
         self._cross_by_col: dict[int, dict[int, int]] = {}
         self._cross_rows: dict[int, tuple[list[int], list[int]]] = {}
         self._cross_cols: dict[int, tuple[list[int], list[int]]] = {}
+        # Flat columns over the bounds plus a one-cell pad (module doc).
+        bounds = plane.bounds
+        self.x1, self.y1, self.x2, self.y2 = bounds.x, bounds.y, bounds.x2, bounds.y2
+        self.x0, self.y0 = self.x1 - 1, self.y1 - 1
+        width = self.x2 - self.x0 + 2
+        height = self.y2 - self.y0 + 2
+        self.hbits = hbits = (height - 1).bit_length()
+        size = width << hbits
+        free = bytearray(size)
+        inner = b"\x01" * (height - 2)
+        for xi in range(1, width - 1):
+            base = xi << hbits
+            free[base + 1 : base + height - 1] = inner
+        self.pass_h = free
+        self.pass_v = bytearray(free)
+        self.bend = bytearray(free)
+        self.cross_h_col = array("i", bytes(4 * size))
+        self.cross_v_col = array("i", bytes(4 * size))
+
+    def at(self, x: int, y: int) -> int | None:
+        """Flat column index of ``(x, y)``, or ``None`` off the plane."""
+        if self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2:
+            return ((x - self.x0) << self.hbits) | (y - self.y0)
+        return None
+
+    def point_at(self, i: int) -> Point:
+        """Inverse of :meth:`at`."""
+        return Point((i >> self.hbits) + self.x0, (i & ((1 << self.hbits) - 1)) + self.y0)
 
     # -- plane mutation hooks -------------------------------------------
 
@@ -216,28 +262,16 @@ class PlaneIndex:
                 self.occ[p] = n
             else:
                 del self.occ[p]
-                self.occ_pts.discard(p)
+                i = self.at(p.x, p.y)
+                if i is not None:
+                    self.bend[i] = 1
 
     def _apply_delta(self, p: Point, old: tuple[int, int, int, int]) -> None:
         """Subtract a contribution tuple from the per-point aggregates."""
-        dhb = -old[0]
-        if dhb:
-            n = self.h_block.get(p, 0) + dhb
-            if n:
-                self.h_block[p] = n
-            else:
-                del self.h_block[p]
-                self.blocked_h_pts.discard(p)
-                self._row_maybe_remove(p)
-        dvb = -old[1]
-        if dvb:
-            n = self.v_block.get(p, 0) + dvb
-            if n:
-                self.v_block[p] = n
-            else:
-                del self.v_block[p]
-                self.blocked_v_pts.discard(p)
-                self._col_maybe_remove(p)
+        if old[0]:
+            self._block_change(self.h_block, p, -old[0], self._row_add, self._row_maybe_remove)
+        if old[1]:
+            self._block_change(self.v_block, p, -old[1], self._col_add, self._col_maybe_remove)
         if old[2]:
             self._cross_h_change(p, -old[2])
         if old[3]:
@@ -273,40 +307,46 @@ class PlaneIndex:
             n = self.occ.get(p, 0) + 1
             self.occ[p] = n
             if n == 1:
-                self.occ_pts.add(p)
+                i = self.at(p.x, p.y)
+                if i is not None:
+                    self.bend[i] = 0
         cmap[p] = new
         dhb = new[0] - old[0]
         if dhb:
-            n = self.h_block.get(p, 0) + dhb
-            if n:
-                self.h_block[p] = n
-            else:
-                del self.h_block[p]
-            if n == dhb and dhb > 0:  # 0 -> positive
-                self.blocked_h_pts.add(p)
-                self._row_add(p)
-            elif not n:
-                self.blocked_h_pts.discard(p)
-                self._row_maybe_remove(p)
+            self._block_change(self.h_block, p, dhb, self._row_add, self._row_maybe_remove)
         dvb = new[1] - old[1]
         if dvb:
-            n = self.v_block.get(p, 0) + dvb
-            if n:
-                self.v_block[p] = n
-            else:
-                del self.v_block[p]
-            if n == dvb and dvb > 0:
-                self.blocked_v_pts.add(p)
-                self._col_add(p)
-            elif not n:
-                self.blocked_v_pts.discard(p)
-                self._col_maybe_remove(p)
+            self._block_change(self.v_block, p, dvb, self._col_add, self._col_maybe_remove)
         dch = new[2] - old[2]
         if dch:
             self._cross_h_change(p, dch)
         dcv = new[3] - old[3]
         if dcv:
             self._cross_v_change(p, dcv)
+
+    def _block_change(
+        self, counts: dict[Point, int], p: Point, delta: int, add, drop
+    ) -> None:
+        """Move one axis block count; a 0 <-> positive transition updates
+        the point's row/column obstacle entry and its pass columns."""
+        n = counts.get(p, 0) + delta
+        if n:
+            counts[p] = n
+            if n != delta:
+                return  # was already positive
+            add(p)
+        else:
+            del counts[p]
+            drop(p)
+        self._refresh_pass(p)
+
+    def _refresh_pass(self, p: Point) -> None:
+        i = self.at(p.x, p.y)
+        if i is None:
+            return
+        hard = p in self.plane.blocked or p in self.plane.claims
+        self.pass_h[i] = not hard and p not in self.h_block
+        self.pass_v[i] = not hard and p not in self.v_block
 
     def _cross_h_change(self, p: Point, delta: int) -> None:
         n = self.cross_h.get(p, 0) + delta
@@ -320,6 +360,9 @@ class PlaneIndex:
             if not row:
                 del self._cross_by_row[p.y]
         self._cross_rows.pop(p.y, None)
+        i = self.at(p.x, p.y)
+        if i is not None:
+            self.cross_h_col[i] = n
 
     def _cross_v_change(self, p: Point, delta: int) -> None:
         n = self.cross_v.get(p, 0) + delta
@@ -333,15 +376,22 @@ class PlaneIndex:
             if not col:
                 del self._cross_by_col[p.x]
         self._cross_cols.pop(p.x, None)
+        i = self.at(p.x, p.y)
+        if i is not None:
+            self.cross_v_col[i] = n
 
     def _static_add(self, p: Point) -> None:
         """A blocked/claimed point obstructs movement on both axes."""
         self._row_add(p)
         self._col_add(p)
+        i = self.at(p.x, p.y)
+        if i is not None:
+            self.pass_h[i] = self.pass_v[i] = 0
 
     def _static_remove(self, p: Point) -> None:
         self._row_maybe_remove(p)
         self._col_maybe_remove(p)
+        self._refresh_pass(p)
 
     def _row_add(self, p: Point) -> None:
         row = self._rows.get(p.y)
@@ -362,11 +412,7 @@ class PlaneIndex:
     def _row_maybe_remove(self, p: Point) -> None:
         """Drop ``p`` from its row unless another source still blocks
         horizontal movement there."""
-        if (
-            p in self.plane.blocked
-            or p in self.plane.claims
-            or p in self.blocked_h_pts
-        ):
+        if p in self.plane.blocked or p in self.plane.claims or p in self.h_block:
             return
         row = self._rows.get(p.y)
         if row and p.x in row:
@@ -376,11 +422,7 @@ class PlaneIndex:
             self._rows_sorted.pop(p.y, None)
 
     def _col_maybe_remove(self, p: Point) -> None:
-        if (
-            p in self.plane.blocked
-            or p in self.plane.claims
-            or p in self.blocked_v_pts
-        ):
+        if p in self.plane.blocked or p in self.plane.claims or p in self.v_block:
             return
         col = self._cols.get(p.x)
         if col and p.y in col:
@@ -462,30 +504,28 @@ class PlaneIndex:
 
 
 class NetView:
-    """One net's window on the plane: global maps by reference plus the
-    net's own small exception overlay ("all minus own net")."""
+    """One net's window on the plane: the index's flat columns copied and
+    patched to "all minus own net", plus the net's stop lists."""
 
     __slots__ = (
+        "index",
+        "net",
         "x1",
         "y1",
         "x2",
         "y2",
-        "blocked",
-        "claims",
         "allow",
         "extra_hard",
-        "blocked_h",
-        "blocked_v",
+        "own",
+        "pass_h",
+        "pass_v",
         "cross_h",
         "cross_v",
-        "occ_pts",
-        "unblock_h",
-        "unblock_v",
-        "own_cross_h",
-        "own_cross_v",
-        "self_clear",
-        "index",
-        "net",
+        "bend",
+        "_open_rows",
+        "_open_cols",
+        "_stop_rows",
+        "_stop_cols",
     )
 
     def __init__(
@@ -496,105 +536,142 @@ class NetView:
         extra_hard: frozenset[Point] = frozenset(),
     ) -> None:
         plane = index.plane
-        bounds = plane.bounds
-        self.x1, self.y1 = bounds.x, bounds.y
-        self.x2, self.y2 = bounds.x2, bounds.y2
-        self.blocked = plane.blocked
-        self.claims = plane.claims
-        self.allow = allow
-        self.extra_hard = extra_hard
-        self.blocked_h = index.blocked_h_pts
-        self.blocked_v = index.blocked_v_pts
-        self.cross_h = index.cross_h
-        self.cross_v = index.cross_v
-        self.occ_pts = index.occ_pts
+        blocked, claims = plane.blocked, plane.claims
         self.index = index
         self.net = net
-        own = index.contrib.get(net)
-        if own:
-            h_block, v_block, occ = index.h_block, index.v_block, index.occ
-            # Points only this net blocks: passable for it.
-            self.unblock_h = {
-                p for p, c in own.items() if c[0] and h_block[p] == c[0]
-            }
-            self.unblock_v = {
-                p for p, c in own.items() if c[1] and v_block[p] == c[1]
-            }
-            # Own crossing contributions to subtract from the totals.
-            self.own_cross_h = {p: c[2] for p, c in own.items() if c[2]}
-            self.own_cross_v = {p: c[3] for p, c in own.items() if c[3]}
-            # Own points free of foreign wires: bends stay legal there.
-            self.self_clear = {p for p in own if occ[p] == 1}
-        else:
-            self.unblock_h = self.unblock_v = self.self_clear = frozenset()
-            self.own_cross_h = self.own_cross_v = {}
+        self.x1, self.y1, self.x2, self.y2 = index.x1, index.y1, index.x2, index.y2
+        self.allow = allow
+        self.extra_hard = extra_hard
+        own = self.own = index.contrib.get(net) or {}
+        self.pass_h = pass_h = index.pass_h[:]
+        self.pass_v = pass_v = index.pass_v[:]
+        self.cross_h = cross_h = index.cross_h_col[:]
+        self.cross_v = cross_v = index.cross_v_col[:]
+        self.bend = bend = index.bend[:]
+        # Row/column obstacles this net may pass (its own wire, its
+        # ``allow`` points): only their lines need filtered stop lists.
+        open_rows: dict[int, set[int]] = {}
+        open_cols: dict[int, set[int]] = {}
+        self._open_rows, self._open_cols = open_rows, open_cols
+        self._stop_rows: dict[int, list[int]] = {}
+        self._stop_cols: dict[int, list[int]] = {}
+        h_block, v_block, occ = index.h_block, index.v_block, index.occ
+        x0, y0, hbits = index.x0, index.y0, index.hbits
+        x1, y1, x2, y2 = index.x1, index.y1, index.x2, index.y2
+        # The exceptions, and own points that are also blocked or claimed
+        # (terminals), take the general rule; plain own wire is open
+        # along an axis exactly where only this net blocks it.
+        special = allow | extra_hard | {p for p in own if p in blocked or p in claims}
+        for p in special:
+            x, y = p
+            c = own.get(p, _ZERO)
+            static = p in blocked or p in claims
+            hard = p in extra_hard or (static and p not in allow)
+            hb = h_block.get(p, 0)
+            vb = v_block.get(p, 0)
+            open_h = not hard and hb == c[0]
+            open_v = not hard and vb == c[1]
+            if open_h and (static or hb):
+                open_rows.setdefault(y, set()).add(x)
+            if open_v and (static or vb):
+                open_cols.setdefault(x, set()).add(y)
+            if x1 <= x <= x2 and y1 <= y <= y2:
+                i = ((x - x0) << hbits) | (y - y0)
+                pass_h[i] = open_h
+                pass_v[i] = open_v
+        for p, (c0, c1, c2, c3) in own.items():
+            x, y = p
+            inside = x1 <= x <= x2 and y1 <= y <= y2
+            i = ((x - x0) << hbits) | (y - y0)
+            if p not in special:
+                if c0 and h_block[p] == c0:
+                    row = open_rows.get(y)
+                    if row is None:
+                        open_rows[y] = {x}
+                    else:
+                        row.add(x)
+                    if inside:
+                        pass_h[i] = 1
+                if c1 and v_block[p] == c1:
+                    col = open_cols.get(x)
+                    if col is None:
+                        open_cols[x] = {y}
+                    else:
+                        col.add(y)
+                    if inside:
+                        pass_v[i] = 1
+            if inside:
+                if c2:
+                    cross_h[i] -= c2
+                if c3:
+                    cross_v[i] -= c3
+                if occ[p] == 1:
+                    bend[i] = 1  # own wire only: bends stay legal
 
-    # -- point queries (the routers inline the sets; these are for the
-    # -- interval engine and tests) -------------------------------------
+    # -- stop lists --------------------------------------------------------
+
+    def stops_row(self, y: int) -> list[int]:
+        """Sorted x coordinates where this net's horizontal runs on row
+        ``y`` must stop (shared with the index unless the row holds one
+        of the net's exemptions; never mutate the result)."""
+        open_x = self._open_rows.get(y)
+        if open_x is None:
+            return self.index.sorted_row(y)
+        lst = self._stop_rows.get(y)
+        if lst is None:
+            lst = self._stop_rows[y] = [
+                x for x in self.index.sorted_row(y) if x not in open_x
+            ]
+        return lst
+
+    def stops_col(self, x: int) -> list[int]:
+        """Column counterpart of :meth:`stops_row`."""
+        open_y = self._open_cols.get(x)
+        if open_y is None:
+            return self.index.sorted_col(x)
+        lst = self._stop_cols.get(x)
+        if lst is None:
+            lst = self._stop_cols[x] = [
+                y for y in self.index.sorted_col(x) if y not in open_y
+            ]
+        return lst
+
+    # -- point queries (the state engine reads the columns; these serve
+    # -- the interval engine, the zero-length check and tests) -----------
 
     def hard_at(self, q: Point) -> bool:
         if q in self.extra_hard:
             return True
-        return (q in self.blocked or q in self.claims) and q not in self.allow
+        plane = self.index.plane
+        return (q in plane.blocked or q in plane.claims) and q not in self.allow
 
     def entry_blocked(self, q: Point, horizontal: bool) -> bool:
         """Would a wire of this net moving horizontally/vertically be
         forbidden to enter ``q`` by foreign wires?"""
+        c = self.own.get(q, _ZERO)
         if horizontal:
-            return q in self.blocked_h and q not in self.unblock_h
-        return q in self.blocked_v and q not in self.unblock_v
+            return self.index.h_block.get(q, 0) > c[0]
+        return self.index.v_block.get(q, 0) > c[1]
 
     def crossings_at(self, q: Point, horizontal: bool) -> int:
-        total = (self.cross_h if horizontal else self.cross_v).get(q, 0)
-        if total:
-            total -= (self.own_cross_h if horizontal else self.own_cross_v).get(
-                q, 0
-            )
-        return total
+        c = self.own.get(q, _ZERO)
+        if horizontal:
+            return self.index.cross_h.get(q, 0) - c[2]
+        return self.index.cross_v.get(q, 0) - c[3]
 
     def foreign_at(self, q: Point) -> bool:
         """Does any *other* net use ``q`` (no bends/terminations there)?"""
-        return q in self.occ_pts and q not in self.self_clear
+        return self.index.occ.get(q, 0) > (1 if q in self.own else 0)
 
     # -- straight-run jumps ---------------------------------------------
 
     def run_stop(self, vertical: bool, line: int, start: int, step: int) -> int | None:
         """First coordinate at or beyond ``start + step`` where a sweep of
         this net along column ``x=line`` (``vertical``) or row ``y=line``
-        must stop, or ``None`` when it runs to the plane border.
-
-        Uses the index's sorted per-row/column obstacle coordinates and
-        skips entries this net is exempt from (its own wire, its
-        ``allow`` terminals).
-        """
-        coords = (
-            self.index.sorted_col(line) if vertical else self.index.sorted_row(line)
-        )
-        if not coords:
-            return None
+        must stop, or ``None`` when it runs to the plane border."""
+        coords = self.stops_col(line) if vertical else self.stops_row(line)
         if step > 0:
-            i = bisect_left(coords, start + 1)
-            while i < len(coords):
-                c = coords[i]
-                q = Point(line, c) if vertical else Point(c, line)
-                if self._stops(q, vertical):
-                    return c
-                i += 1
-            return None
-        i = bisect_right(coords, start - 1) - 1
-        while i >= 0:
-            c = coords[i]
-            q = Point(line, c) if vertical else Point(c, line)
-            if self._stops(q, vertical):
-                return c
-            i -= 1
-        return None
-
-    def _stops(self, q: Point, vertical: bool) -> bool:
-        if q in self.extra_hard:
-            return True
-        if (q in self.blocked or q in self.claims) and q not in self.allow:
-            return True
-        if vertical:
-            return q in self.blocked_v and q not in self.unblock_v
-        return q in self.blocked_h and q not in self.unblock_h
+            i = bisect_right(coords, start)
+            return coords[i] if i < len(coords) else None
+        i = bisect_left(coords, start) - 1
+        return coords[i] if i >= 0 else None

@@ -169,10 +169,8 @@ def _expand_segment(
     d = active.direction
     vertical_sweep = _DY[d] != 0
     step = _DY[d] if vertical_sweep else _DX[d]
-    cross_tot = view.cross_v if vertical_sweep else view.cross_h
-    own_cross = view.own_cross_v if vertical_sweep else view.own_cross_h
-    occ_pts = view.occ_pts
-    self_clear = view.self_clear
+    crossings_at = view.crossings_at
+    foreign_at = view.foreign_at
     if vertical_sweep:
         limit_lo, limit_hi = view.x1, view.x2
         index_lo, index_hi = view.y1, view.y2
@@ -198,18 +196,13 @@ def _expand_segment(
             if mark in visited:
                 break  # this column's sweep ends (an end segment)
             visited.add(mark)
-            cross = cross_tot.get(q, 0)
-            if cross:
-                cross -= own_cross.get(q, 0)
-            crossings += cross
+            crossings += crossings_at(q, not vertical_sweep)
             if cells is None:
                 cells = reached.setdefault(v, [])
             cells.append((index, crossings))
             arrival = target_dirs.get(q, _MISSING)
             if arrival is not _MISSING:
-                if (arrival is None or d in arrival) and (
-                    q not in occ_pts or q in self_clear
-                ):
+                if (arrival is None or d in arrival) and not foreign_at(q):
                     solutions.append(
                         _make_solution(active, v, index, crossings, vertical_sweep)
                     )
@@ -231,7 +224,7 @@ def _expand_segment(
         groups: list[list[tuple[int, int]]] = []
         for idx, cr in cells:
             q = (v, idx) if vertical_sweep else (idx, v)
-            if q in occ_pts and q not in self_clear:
+            if foreign_at(q):
                 groups.append([])  # crossing point: a bend may not sit here
                 continue
             if (

@@ -35,12 +35,15 @@ length, and the ``-s`` swap) while states pointing away from every target
 Like the paper's algorithm (section 5.5.4) the search stays exhaustive: a
 connection is found whenever one exists.
 
-Obstacle queries come from the plane's incremental
-:class:`~repro.route.index.PlaneIndex` — a per-connection
-:class:`~repro.route.index.NetView` overlay built in O(own net) — instead
-of the O(plane) snapshot rebuild the pre-index router paid per connection
-(that path survives as :mod:`repro.route.reference` for benchmarking and
-cross-checking).
+The engine works on ints throughout.  A state is ``point << 2 | direction``
+over the flat point index of the plane's
+:class:`~repro.route.index.PlaneIndex`; obstacles, crossing counts and
+bend legality are byte/int columns of a per-connection
+:class:`~repro.route.index.NetView` (one slice copy per column, patched
+in O(own net)); cost and bound triples are packed into single ints whose
+order is the lexicographic order, and a heap key is one int.  The
+pre-index snapshot router survives as :mod:`repro.route.reference` for
+benchmarking and cross-checking.
 """
 
 from __future__ import annotations
@@ -50,11 +53,12 @@ import heapq
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Mapping
 
 from ..core.geometry import Direction, Point, normalize_path
 from ..obs import counters
-from .index import _prefix_entry
+from .index import NetView, _prefix_entry
 from .plane import Plane
 
 
@@ -116,18 +120,470 @@ class SearchStats:
             self.connections.append(row)
 
 
-_State = tuple[Point, Direction]
-
-
-#: (dx, dy, moves_horizontally) per direction, and the opposite's index.
+#: Direction order of the state encoding, and each one's opposite.
 _DIR_ORDER = [Direction.LEFT, Direction.RIGHT, Direction.UP, Direction.DOWN]
-_DIR_STEPS = [(d.dx, d.dy, d.dy == 0) for d in _DIR_ORDER]
 _DIR_INDEX = {d: i for i, d in enumerate(_DIR_ORDER)}
 _OPPOSITE = [1, 0, 3, 2]
 
 #: Pops a connection may spend under the geometric bound before the
 #: search escalates to the exact BFS bend-distance heuristic.
 _ESCALATE_AFTER = 256
+
+#: Cost and bound triples are packed into one int, one 32-bit field per
+#: component in key order (``a << 64 | b << 32 | c``): adding packed
+#: values adds componentwise, and comparing them compares
+#: lexicographically.  Bends, crossings and lengths on one plane stay far
+#: below 2**32.
+_SHIFT = 32
+_MID = 1 << _SHIFT
+_TOP = 1 << (2 * _SHIFT)
+_FIELD = _MID - 1
+#: A heap key is the packed ``f`` with the push counter appended below it,
+#: so equal ``f`` pops first-in first-out and one int comparison orders
+#: two entries.
+_COUNTER_BITS = 32
+_COUNTER_MASK = (1 << _COUNTER_BITS) - 1
+
+#: Bend distance of a (point, axis) the escalation BFS never reached.
+UNREACHED = 1 << 62
+
+
+def _unpack(packed: int) -> tuple[int, int, int]:
+    return (packed >> (2 * _SHIFT), (packed >> _SHIFT) & _FIELD, packed & _FIELD)
+
+
+def bend_distance(
+    view: NetView, seeds_h: Iterable[int], seeds_v: Iterable[int]
+) -> tuple[list[int], list[int]]:
+    """Exact minimum remaining bends from every (point, axis) to the seeds.
+
+    This is the paper's line expansion (section 5.5: wave number = bend
+    count) run backwards from the targets as a level-ordered 0-1 BFS.
+    ``seeds_h``/``seeds_v`` are flat point indices where a path may end
+    moving horizontally/vertically.  Straight propagation along a free run
+    is one line, so the whole run between two stops joins the current
+    level with one slice fill; each bendable swept point spawns the
+    perpendicular axis at the next level, and a point swept once per axis
+    implies its whole run is swept, so each (point, axis) is filled once.
+    The only relaxations are ignoring U-turn bans and ``extra_hard``
+    points missing from the index's stop lists, both admissible.
+
+    Returns ``(dist_h, dist_v)`` indexed by flat point index, holding
+    :data:`UNREACHED` where the seeds cannot be reached.
+    """
+    index = view.index
+    x0, y0, hbits = index.x0, index.y0, index.hbits
+    x1, y1, x2, y2 = index.x1, index.y1, index.x2, index.y2
+    height = 1 << hbits
+    hmask = height - 1
+    bend = view.bend
+    # Stop lists memoised per line: a line is swept many times per BFS.
+    rows: dict[int, list[int]] = {}
+    cols: dict[int, list[int]] = {}
+    dist_h = [UNREACHED] * len(bend)
+    dist_v = [UNREACHED] * len(bend)
+    cur_h, cur_v = list(seeds_h), list(seeds_v)
+    level = 0
+    while cur_h or cur_v:
+        nxt_h: list[int] = []
+        nxt_v: list[int] = []
+        for p in cur_h:
+            if dist_h[p] != UNREACHED:
+                continue
+            px = (p >> hbits) + x0
+            yl = p & hmask
+            srow = rows.get(yl)
+            if srow is None:
+                srow = rows[yl] = view.stops_row(yl + y0)
+            j = bisect_left(srow, px)
+            lo = srow[j - 1] + 1 if j > 0 else x1
+            hi = srow[j] - 1 if j < len(srow) else x2
+            if lo < x1:
+                lo = x1
+            if hi > x2:
+                hi = x2
+            a = ((lo - x0) << hbits) | yl
+            b = ((hi - x0) << hbits) | yl
+            dist_h[a : b + 1 : height] = [level] * (hi - lo + 1)
+            nxt_v += compress(range(a, b + 1, height), bend[a : b + 1 : height])
+        for p in cur_v:
+            if dist_v[p] != UNREACHED:
+                continue
+            yl = p & hmask
+            py = yl + y0
+            xl = p >> hbits
+            scol = cols.get(xl)
+            if scol is None:
+                scol = cols[xl] = view.stops_col(xl + x0)
+            j = bisect_left(scol, py)
+            lo = scol[j - 1] + 1 if j > 0 else y1
+            hi = scol[j] - 1 if j < len(scol) else y2
+            if lo < y1:
+                lo = y1
+            if hi > y2:
+                hi = y2
+            a = p - yl + (lo - y0)
+            b = p - yl + (hi - y0)
+            dist_v[a : b + 1] = [level] * (hi - lo + 1)
+            nxt_h += compress(range(a, b + 1), bend[a : b + 1])
+        cur_h, cur_v = nxt_h, nxt_v
+        level += 1
+    return dist_h, dist_v
+
+
+def goal_states(
+    view: NetView, targets: Mapping[Point, frozenset[Direction] | None]
+) -> tuple[set[int], list[int], list[int]]:
+    """The acceptable goal states of a connection and the escalation
+    BFS's seeds.
+
+    A goal state is a target free of foreign wire entered along an
+    allowed arrival direction.  The seeds are the goal points a path may
+    enter moving horizontally (``seeds_h``) or vertically (``seeds_v``),
+    so every goal state reads bend distance 0."""
+    at, bend = view.index.at, view.bend
+    goal: set[int] = set()
+    seeds_h: list[int] = []
+    seeds_v: list[int] = []
+    for p, dirs in targets.items():
+        i = at(p.x, p.y)
+        if i is None or not bend[i]:
+            continue
+        arrivals = range(4) if dirs is None else [_DIR_INDEX[d] for d in dirs]
+        goal.update((i << 2) | d for d in arrivals)
+        if view.pass_h[i] and any(d < 2 for d in arrivals):
+            seeds_h.append(i)
+        if view.pass_v[i] and any(d >= 2 for d in arrivals):
+            seeds_v.append(i)
+    return goal, seeds_h, seeds_v
+
+
+class _Bounds:
+    """The admissible per-state lower bounds of one connection.
+
+    ``geometric(q, di)`` is the 0/1/2/3-bend, crossover-aware bound;
+    ``exact(q, di)`` upgrades it by the escalation BFS's bend distance
+    (:meth:`escalate`).  Both return the packed ``(bends, crossings,
+    length)`` bound in key order, and ``exact`` returns ``None`` for
+    states the relaxed BFS cannot reach (no completion exists).  The
+    functions are closures so the search loop calls them without
+    attribute lookups.
+    """
+
+    def __init__(
+        self,
+        view: NetView,
+        targets: Iterable[tuple[int, int]],
+        crossings_first: bool,
+    ) -> None:
+        index = view.index
+        x0, y0, hbits = index.x0, index.y0, index.hbits
+        hmask = (1 << hbits) - 1
+        bend = view.bend
+        cross_unit, len_unit = (_MID, 1) if crossings_first else (1, _MID)
+        len_field = _FIELD * len_unit
+
+        # Target geometry: bounding box and sorted per-row/per-column
+        # target coordinates.
+        t_in_row: dict[int, list[int]] = {}
+        t_in_col: dict[int, list[int]] = {}
+        tx1 = ty1 = 1 << 60
+        tx2 = ty2 = -(1 << 60)
+        for tx, ty in targets:
+            t_in_row.setdefault(ty, []).append(tx)
+            t_in_col.setdefault(tx, []).append(ty)
+            tx1, tx2 = min(tx1, tx), max(tx2, tx)
+            ty1, ty2 = min(ty1, ty), max(ty2, ty)
+        for lst in t_in_row.values():
+            lst.sort()
+        for lst in t_in_col.values():
+            lst.sort()
+        t_rows_sorted = sorted(t_in_row)  # rows containing a target
+        t_cols_sorted = sorted(t_in_col)  # columns containing a target
+        self.box = (tx1, ty1, tx2, ty2)
+
+        # -- crossover-aware bound plumbing -----------------------------
+        # The index prices a straight run's crossings over all nets; the
+        # net's own contributions are subtracted with per-connection
+        # prefix structures over the (small) own-crossing overlays.
+        range_cross_h = index.range_cross_h
+        range_cross_v = index.range_cross_v
+        own_h_rows: dict[int, dict[int, int]] = {}
+        own_v_cols: dict[int, dict[int, int]] = {}
+        for p, c in view.own.items():
+            if c[2]:
+                own_h_rows.setdefault(p[1], {})[p[0]] = c[2]
+            if c[3]:
+                own_v_cols.setdefault(p[0], {})[p[1]] = c[3]
+        own_h_cache: dict[int, tuple[list[int], list[int]]] = {}
+        own_v_cache: dict[int, tuple[list[int], list[int]]] = {}
+
+        def _hrange(y: int, a: int, b: int) -> int:
+            """Foreign crossings a horizontal run entering ``x in [a..b]``
+            on row ``y`` must pay."""
+            total = range_cross_h(y, a, b)
+            if total and y in own_h_rows:
+                entry = own_h_cache.get(y)
+                if entry is None:
+                    entry = own_h_cache[y] = _prefix_entry(own_h_rows[y])
+                coords, sums = entry
+                total -= sums[bisect_right(coords, b)] - sums[bisect_left(coords, a)]
+            return total
+
+        def _vrange(x: int, a: int, b: int) -> int:
+            total = range_cross_v(x, a, b)
+            if total and x in own_v_cols:
+                entry = own_v_cache.get(x)
+                if entry is None:
+                    entry = own_v_cache[x] = _prefix_entry(own_v_cols[x])
+                coords, sums = entry
+                total -= sums[bisect_right(coords, b)] - sums[bisect_left(coords, a)]
+            return total
+
+        # Per-line *stop* coordinates for this net, memoised per touched
+        # line.  A straight run cannot pass its first stop, which upgrades
+        # the bend bound behind walls.
+        stop_rows: dict[int, list[int]] = {}
+        stop_cols: dict[int, list[int]] = {}
+        view_stops_row, view_stops_col = view.stops_row, view.stops_col
+
+        def _stops_row(y: int) -> list[int]:
+            lst = stop_rows.get(y)
+            if lst is None:
+                lst = stop_rows[y] = view_stops_row(y)
+            return lst
+
+        def _stops_col(x: int) -> list[int]:
+            lst = stop_cols.get(x)
+            if lst is None:
+                lst = stop_cols[x] = view_stops_col(x)
+            return lst
+
+        def _hc1_horiz(qx: int, qy: int, q: int, sgn: int, lim: int | None) -> int | None:
+            """Crossing bound over the exactly-one-bend completions when
+            travel is horizontal — or ``None`` when no such completion can
+            exist.  Every 1-bend completion either bends *here* (family A
+            — a vertical run in this column to a target row, needs a
+            bendable point and a reachable target) or sweeps on and bends
+            ahead (family B — a horizontal run at least to the nearest
+            reachable target column ahead, bounded by the first stop
+            ``lim``)."""
+            best = None
+            if bend[q]:
+                col = t_in_col.get(qx)
+                if col:
+                    scol = _stops_col(qx)
+                    i = bisect_left(col, qy + 1)
+                    if i < len(col):
+                        ty = col[i]
+                        j = bisect_right(scol, qy)
+                        if j >= len(scol) or ty < scol[j]:
+                            best = _vrange(qx, qy + 1, ty)
+                    i = bisect_right(col, qy - 1) - 1
+                    if i >= 0:
+                        ty = col[i]
+                        j = bisect_left(scol, qy) - 1
+                        if j < 0 or ty > scol[j]:
+                            c = _vrange(qx, ty, qy - 1)
+                            if best is None or c < best:
+                                best = c
+            if sgn > 0:
+                i = bisect_left(t_cols_sorted, qx + 1)
+                if i < len(t_cols_sorted):
+                    c_near = t_cols_sorted[i]
+                    if lim is None or c_near < lim:
+                        c = _hrange(qy, qx + 1, c_near)
+                        if best is None or c < best:
+                            best = c
+            else:
+                i = bisect_right(t_cols_sorted, qx - 1) - 1
+                if i >= 0:
+                    c_near = t_cols_sorted[i]
+                    if lim is None or c_near > lim:
+                        c = _hrange(qy, c_near, qx - 1)
+                        if best is None or c < best:
+                            best = c
+            return best
+
+        def _hc1_vert(qx: int, qy: int, q: int, sgn: int, lim: int | None) -> int | None:
+            best = None
+            if bend[q]:
+                row = t_in_row.get(qy)
+                if row:
+                    srow = _stops_row(qy)
+                    i = bisect_left(row, qx + 1)
+                    if i < len(row):
+                        tx = row[i]
+                        j = bisect_right(srow, qx)
+                        if j >= len(srow) or tx < srow[j]:
+                            best = _hrange(qy, qx + 1, tx)
+                    i = bisect_right(row, qx - 1) - 1
+                    if i >= 0:
+                        tx = row[i]
+                        j = bisect_left(srow, qx) - 1
+                        if j < 0 or tx > srow[j]:
+                            c = _hrange(qy, tx, qx - 1)
+                            if best is None or c < best:
+                                best = c
+            if sgn > 0:
+                i = bisect_left(t_rows_sorted, qy + 1)
+                if i < len(t_rows_sorted):
+                    r_near = t_rows_sorted[i]
+                    if lim is None or r_near < lim:
+                        c = _vrange(qx, qy + 1, r_near)
+                        if best is None or c < best:
+                            best = c
+            else:
+                i = bisect_right(t_rows_sorted, qy - 1) - 1
+                if i >= 0:
+                    r_near = t_rows_sorted[i]
+                    if lim is None or r_near > lim:
+                        c = _vrange(qx, r_near, qy - 1)
+                        if best is None or c < best:
+                            best = c
+            return best
+
+        def geometric(q: int, di: int) -> int:
+            """Admissible packed (remaining bends, crossings, length) lower
+            bound for state ``(q, di)`` against the whole target set.  The
+            crossing component only has to hold among completions with
+            exactly the minimum bends — bendier completions already lose
+            on the first lexicographic component."""
+            qx = (q >> hbits) + x0
+            qy = (q & hmask) + y0
+            # Manhattan distance to the targets' bounding box.
+            hl = 0
+            if qx < tx1:
+                hl = tx1 - qx
+            elif qx > tx2:
+                hl = qx - tx2
+            if qy < ty1:
+                hl += ty1 - qy
+            elif qy > ty2:
+                hl += qy - ty2
+            hl *= len_unit
+            # Minimum bends from the geometric relation to the nearest
+            # *reachable* target: 0 when one lies straight ahead of the
+            # first stop, 1 when a one-bend family A/B completion survives
+            # the stop tests, else 2 (3 when every target is strictly
+            # behind on the travel line itself).
+            if di == 0:  # LEFT
+                srow = _stops_row(qy)
+                j = bisect_left(srow, qx) - 1
+                lim = srow[j] if j >= 0 else None
+                row = t_in_row.get(qy)
+                if row is not None and row[0] <= qx:
+                    i = bisect_right(row, qx) - 1
+                    tx = row[i]
+                    if lim is None or tx > lim:
+                        return _hrange(qy, tx, qx - 1) * cross_unit + hl
+                if tx1 <= qx:
+                    hc = _hc1_horiz(qx, qy, q, -1, lim)
+                    if hc is not None:
+                        return _TOP + hc * cross_unit + hl
+                    return 2 * _TOP + hl
+                off_line = ty1 != qy or ty2 != qy
+            elif di == 1:  # RIGHT
+                srow = _stops_row(qy)
+                j = bisect_right(srow, qx)
+                lim = srow[j] if j < len(srow) else None
+                row = t_in_row.get(qy)
+                if row is not None and row[-1] >= qx:
+                    i = bisect_left(row, qx)
+                    tx = row[i]
+                    if lim is None or tx < lim:
+                        return _hrange(qy, qx + 1, tx) * cross_unit + hl
+                if tx2 >= qx:
+                    hc = _hc1_horiz(qx, qy, q, +1, lim)
+                    if hc is not None:
+                        return _TOP + hc * cross_unit + hl
+                    return 2 * _TOP + hl
+                off_line = ty1 != qy or ty2 != qy
+            elif di == 2:  # UP
+                scol = _stops_col(qx)
+                j = bisect_right(scol, qy)
+                lim = scol[j] if j < len(scol) else None
+                col = t_in_col.get(qx)
+                if col is not None and col[-1] >= qy:
+                    i = bisect_left(col, qy)
+                    ty = col[i]
+                    if lim is None or ty < lim:
+                        return _vrange(qx, qy + 1, ty) * cross_unit + hl
+                if ty2 >= qy:
+                    hc = _hc1_vert(qx, qy, q, +1, lim)
+                    if hc is not None:
+                        return _TOP + hc * cross_unit + hl
+                    return 2 * _TOP + hl
+                off_line = tx1 != qx or tx2 != qx
+            else:  # DOWN
+                scol = _stops_col(qx)
+                j = bisect_left(scol, qy) - 1
+                lim = scol[j] if j >= 0 else None
+                col = t_in_col.get(qx)
+                if col is not None and col[0] <= qy:
+                    i = bisect_right(col, qy) - 1
+                    ty = col[i]
+                    if lim is None or ty > lim:
+                        return _vrange(qx, ty, qy - 1) * cross_unit + hl
+                if ty1 <= qy:
+                    hc = _hc1_vert(qx, qy, q, -1, lim)
+                    if hc is not None:
+                        return _TOP + hc * cross_unit + hl
+                    return 2 * _TOP + hl
+                off_line = tx1 != qx or tx2 != qx
+            return (2 * _TOP if off_line else 3 * _TOP) + hl
+
+        dist_h: list[int] = []
+        dist_v: list[int] = []
+
+        def exact(q: int, di: int) -> int | None:
+            """The geometric bound upgraded by the BFS bend distance
+            ``cand``; ``None`` prunes states the BFS cannot reach."""
+            if di < 2:
+                cand = dist_h[q]
+                turn = dist_v[q] + 1
+            else:
+                cand = dist_v[q]
+                turn = dist_h[q] + 1
+            if turn < cand and bend[q]:
+                cand = turn
+            if cand >= UNREACHED:
+                return None
+            if cand < 2:
+                packed = geometric(q, di)
+                if cand > packed >> (2 * _SHIFT):
+                    return cand * _TOP + (packed & len_field)
+                return packed
+            # From two bends on the geometric bound cannot raise ``cand``
+            # and its crossing term (for fewer bends) drops, so only the
+            # length term is computed.  Its one value above 2, the 3 for
+            # every target strictly behind on the travel line, needs all
+            # targets on the state's own line, where ``cand`` is never 2:
+            # a free run on that line through no target is first reached
+            # via a perpendicular run that started on another line (BFS
+            # level >= 3), and a perpendicular run through the state at
+            # level 1 would put the state on a target's own run (level 0).
+            qx = (q >> hbits) + x0
+            qy = (q & hmask) + y0
+            hl = 0
+            if qx < tx1:
+                hl = tx1 - qx
+            elif qx > tx2:
+                hl = qx - tx2
+            if qy < ty1:
+                hl += ty1 - qy
+            elif qy > ty2:
+                hl += qy - ty2
+            return cand * _TOP + hl * len_unit
+
+        def escalate(seeds_h: Iterable[int], seeds_v: Iterable[int]) -> None:
+            """Run the escalation BFS from the seeds; arms ``exact``."""
+            nonlocal dist_h, dist_v
+            dist_h, dist_v = bend_distance(view, seeds_h, seeds_v)
+
+        self.geometric = geometric
+        self.exact = exact
+        self.escalate = escalate
 
 
 def route_connection(
@@ -140,7 +596,6 @@ def route_connection(
     allow: frozenset[Point] = frozenset(),
     extra_hard: frozenset[Point] = frozenset(),
     cost_order: CostOrder = CostOrder.BENDS_CROSSINGS_LENGTH,
-    bidirectional: bool = False,
     stats: SearchStats | None = None,
 ) -> RouteResult | None:
     """Find the best path of ``net`` from ``start`` to any target point.
@@ -181,432 +636,81 @@ def route_connection(
                 footprint=(start.x - 1, start.y - 1, start.x + 1, start.y + 1),
             )
 
-    # Arrival constraints plus the target geometry the heuristic needs:
-    # bounding box and sorted per-row/per-column target coordinates.
-    target_dirs: dict[tuple[int, int], frozenset[int] | None] = {}
-    t_in_row: dict[int, list[int]] = {}
-    t_in_col: dict[int, list[int]] = {}
-    tx1 = ty1 = 1 << 60
-    tx2 = ty2 = -(1 << 60)
-    for p, dirs in targets.items():
-        tx, ty = p.x, p.y
-        target_dirs[(tx, ty)] = (
-            None if dirs is None else frozenset(_DIR_INDEX[d] for d in dirs)
-        )
-        t_in_row.setdefault(ty, []).append(tx)
-        t_in_col.setdefault(tx, []).append(ty)
-        if tx < tx1:
-            tx1 = tx
-        if tx > tx2:
-            tx2 = tx
-        if ty < ty1:
-            ty1 = ty
-        if ty > ty2:
-            ty2 = ty
-    for lst in t_in_row.values():
-        lst.sort()
-    for lst in t_in_col.values():
-        lst.sort()
-    t_rows_sorted = sorted(t_in_row)  # rows containing a target
-    t_cols_sorted = sorted(t_in_col)  # columns containing a target
+    index = plane.index
+    x0, y0, hbits = index.x0, index.y0, index.hbits
+    hmask = (1 << hbits) - 1
+    bend, pass_h, pass_v = view.bend, view.pass_h, view.pass_v
+    goal, seeds_h, seeds_v = goal_states(view, targets)
 
     crossings_first = cost_order is CostOrder.BENDS_CROSSINGS_LENGTH
-    x1, y1, x2, y2 = view.x1, view.y1, view.x2, view.y2
-    hard_blocked = view.blocked
-    hard_claims = view.claims
-    blocked = (view.blocked_h, view.blocked_v)
-    unblock = (view.unblock_h, view.unblock_v)
-    cross_tot = (view.cross_h, view.cross_v)
-    own_cross = (view.own_cross_h, view.own_cross_v)
-    occ_pts = view.occ_pts
-    self_clear = view.self_clear
+    cross_unit, len_unit = (_MID, 1) if crossings_first else (1, _MID)
+    bounds = _Bounds(view, targets, crossings_first)
+    tx1, ty1, tx2, ty2 = bounds.box
 
-    # -- crossover-aware bound plumbing ---------------------------------
-    # The index prices a straight run's crossings over all nets; the
-    # net's own contributions are subtracted with per-connection prefix
-    # structures over the (small) own-crossing overlays.
-    index = plane.index
-    range_cross_h = index.range_cross_h
-    range_cross_v = index.range_cross_v
-    own_h_rows: dict[int, dict[int, int]] = {}
-    for p, c in view.own_cross_h.items():
-        own_h_rows.setdefault(p.y, {})[p.x] = c
-    own_v_cols: dict[int, dict[int, int]] = {}
-    for p, c in view.own_cross_v.items():
-        own_v_cols.setdefault(p.x, {})[p.y] = c
-    own_h_cache: dict[int, tuple[list[int], list[int]]] = {}
-    own_v_cache: dict[int, tuple[list[int], list[int]]] = {}
+    # Per direction: the three legal successor moves in push order, as
+    # (direction, flat step, pass column, crossing column, bend cost).
+    height = 1 << hbits
+    steps = (-height, height, 1, -1)
+    moves = [
+        [
+            (
+                ndi,
+                steps[ndi],
+                pass_h if ndi < 2 else pass_v,
+                view.cross_h if ndi < 2 else view.cross_v,
+                0 if ndi == di else _TOP,
+            )
+            for ndi in range(4)
+            if ndi != _OPPOSITE[di]
+        ]
+        for di in range(4)
+    ]
 
-    def _hrange(y: int, a: int, b: int) -> int:
-        """Foreign crossings a horizontal run entering ``x in [a..b]``
-        on row ``y`` must pay."""
-        total = range_cross_h(y, a, b)
-        if total and y in own_h_rows:
-            entry = own_h_cache.get(y)
-            if entry is None:
-                entry = own_h_cache[y] = _prefix_entry(own_h_rows[y])
-            coords, sums = entry
-            total -= sums[bisect_right(coords, b)] - sums[bisect_left(coords, a)]
-        return total
-
-    def _vrange(x: int, a: int, b: int) -> int:
-        total = range_cross_v(x, a, b)
-        if total and x in own_v_cols:
-            entry = own_v_cache.get(x)
-            if entry is None:
-                entry = own_v_cache[x] = _prefix_entry(own_v_cols[x])
-            coords, sums = entry
-            total -= sums[bisect_right(coords, b)] - sums[bisect_left(coords, a)]
-        return total
-
-    # Per-line *stop* coordinates for this net: the index's obstacle
-    # coords filtered by the view's exemptions (own wire, ``allow``)
-    # once per touched line, then bisected.  A straight run cannot pass
-    # its first stop, which upgrades the bend bound behind walls.
-    # ``extra_hard`` points missing from the index only overestimate
-    # reachability — the safe direction for a lower bound.
-    stop_rows: dict[int, list[int]] = {}
-    stop_cols: dict[int, list[int]] = {}
-    view_stops = view._stops
-
-    def _stops_row(y: int) -> list[int]:
-        lst = stop_rows.get(y)
-        if lst is None:
-            lst = stop_rows[y] = [
-                x for x in index.sorted_row(y) if view_stops(Point(x, y), False)
-            ]
-        return lst
-
-    def _stops_col(x: int) -> list[int]:
-        lst = stop_cols.get(x)
-        if lst is None:
-            lst = stop_cols[x] = [
-                y for y in index.sorted_col(x) if view_stops(Point(x, y), True)
-            ]
-        return lst
-
-    def _hc1_horiz(qx: int, qy: int, sgn: int, lim: int | None) -> int | None:
-        """Crossing bound over the exactly-one-bend completions when
-        travel is horizontal — or ``None`` when no such completion can
-        exist.  Every 1-bend completion either bends *here* (family A —
-        a vertical run in this column to a target row, needs a bendable
-        point and a reachable target) or sweeps on and bends ahead
-        (family B — a horizontal run at least to the nearest reachable
-        target column ahead, bounded by the first stop ``lim``)."""
-        best = None
-        if (qx, qy) not in occ_pts or (qx, qy) in self_clear:
-            col = t_in_col.get(qx)
-            if col:
-                scol = _stops_col(qx)
-                i = bisect_left(col, qy + 1)
-                if i < len(col):
-                    ty = col[i]
-                    j = bisect_right(scol, qy)
-                    if j >= len(scol) or ty < scol[j]:
-                        best = _vrange(qx, qy + 1, ty)
-                i = bisect_right(col, qy - 1) - 1
-                if i >= 0:
-                    ty = col[i]
-                    j = bisect_left(scol, qy) - 1
-                    if j < 0 or ty > scol[j]:
-                        c = _vrange(qx, ty, qy - 1)
-                        if best is None or c < best:
-                            best = c
-        if sgn > 0:
-            i = bisect_left(t_cols_sorted, qx + 1)
-            if i < len(t_cols_sorted):
-                c_near = t_cols_sorted[i]
-                if lim is None or c_near < lim:
-                    c = _hrange(qy, qx + 1, c_near)
-                    if best is None or c < best:
-                        best = c
-        else:
-            i = bisect_right(t_cols_sorted, qx - 1) - 1
-            if i >= 0:
-                c_near = t_cols_sorted[i]
-                if lim is None or c_near > lim:
-                    c = _hrange(qy, c_near, qx - 1)
-                    if best is None or c < best:
-                        best = c
-        return best
-
-    def _hc1_vert(qx: int, qy: int, sgn: int, lim: int | None) -> int | None:
-        best = None
-        if (qx, qy) not in occ_pts or (qx, qy) in self_clear:
-            row = t_in_row.get(qy)
-            if row:
-                srow = _stops_row(qy)
-                i = bisect_left(row, qx + 1)
-                if i < len(row):
-                    tx = row[i]
-                    j = bisect_right(srow, qx)
-                    if j >= len(srow) or tx < srow[j]:
-                        best = _hrange(qy, qx + 1, tx)
-                i = bisect_right(row, qx - 1) - 1
-                if i >= 0:
-                    tx = row[i]
-                    j = bisect_left(srow, qx) - 1
-                    if j < 0 or tx > srow[j]:
-                        c = _hrange(qy, tx, qx - 1)
-                        if best is None or c < best:
-                            best = c
-        if sgn > 0:
-            i = bisect_left(t_rows_sorted, qy + 1)
-            if i < len(t_rows_sorted):
-                r_near = t_rows_sorted[i]
-                if lim is None or r_near < lim:
-                    c = _vrange(qx, qy + 1, r_near)
-                    if best is None or c < best:
-                        best = c
-        else:
-            i = bisect_right(t_rows_sorted, qy - 1) - 1
-            if i >= 0:
-                r_near = t_rows_sorted[i]
-                if lim is None or r_near > lim:
-                    c = _vrange(qx, r_near, qy - 1)
-                    if best is None or c < best:
-                        best = c
-        return best
-
-    def heur(qx: int, qy: int, di: int) -> tuple[int, int, int]:
-        """Admissible (remaining bends, crossings, length) lower bound
-        for state ``((qx, qy), direction di)`` against the whole target
-        set.  The crossing component only has to hold among completions
-        with exactly the minimum bends — bendier completions already
-        lose on the first lexicographic component."""
-        # Manhattan distance to the targets' bounding box.
-        hl = 0
-        if qx < tx1:
-            hl = tx1 - qx
-        elif qx > tx2:
-            hl = qx - tx2
-        if qy < ty1:
-            hl += ty1 - qy
-        elif qy > ty2:
-            hl += qy - ty2
-        # Minimum bends from the geometric relation to the nearest
-        # *reachable* target: 0 when one lies straight ahead of the
-        # first stop, 1 when a one-bend family A/B completion survives
-        # the stop tests, else 2 (3 when every target is strictly behind
-        # on the travel line itself).
-        if di == 0:  # LEFT
-            srow = _stops_row(qy)
-            j = bisect_left(srow, qx) - 1
-            lim = srow[j] if j >= 0 else None
-            row = t_in_row.get(qy)
-            if row is not None and row[0] <= qx:
-                i = bisect_right(row, qx) - 1
-                tx = row[i]
-                if lim is None or tx > lim:
-                    return 0, _hrange(qy, tx, qx - 1), hl
-            if tx1 <= qx:
-                hc = _hc1_horiz(qx, qy, -1, lim)
-                if hc is not None:
-                    return 1, hc, hl
-                return 2, 0, hl
-            off_line = ty1 != qy or ty2 != qy
-        elif di == 1:  # RIGHT
-            srow = _stops_row(qy)
-            j = bisect_right(srow, qx)
-            lim = srow[j] if j < len(srow) else None
-            row = t_in_row.get(qy)
-            if row is not None and row[-1] >= qx:
-                i = bisect_left(row, qx)
-                tx = row[i]
-                if lim is None or tx < lim:
-                    return 0, _hrange(qy, qx + 1, tx), hl
-            if tx2 >= qx:
-                hc = _hc1_horiz(qx, qy, +1, lim)
-                if hc is not None:
-                    return 1, hc, hl
-                return 2, 0, hl
-            off_line = ty1 != qy or ty2 != qy
-        elif di == 2:  # UP
-            scol = _stops_col(qx)
-            j = bisect_right(scol, qy)
-            lim = scol[j] if j < len(scol) else None
-            col = t_in_col.get(qx)
-            if col is not None and col[-1] >= qy:
-                i = bisect_left(col, qy)
-                ty = col[i]
-                if lim is None or ty < lim:
-                    return 0, _vrange(qx, qy + 1, ty), hl
-            if ty2 >= qy:
-                hc = _hc1_vert(qx, qy, +1, lim)
-                if hc is not None:
-                    return 1, hc, hl
-                return 2, 0, hl
-            off_line = tx1 != qx or tx2 != qx
-        else:  # DOWN
-            scol = _stops_col(qx)
-            j = bisect_left(scol, qy) - 1
-            lim = scol[j] if j >= 0 else None
-            col = t_in_col.get(qx)
-            if col is not None and col[0] <= qy:
-                i = bisect_right(col, qy) - 1
-                ty = col[i]
-                if lim is None or ty > lim:
-                    return 0, _vrange(qx, ty, qy - 1), hl
-            if ty1 <= qy:
-                hc = _hc1_vert(qx, qy, -1, lim)
-                if hc is not None:
-                    return 1, hc, hl
-                return 2, 0, hl
-            off_line = tx1 != qx or tx2 != qx
-        return (2 if off_line else 3), 0, hl
-
-    counter = 0
-    heap: list = []
-    # state key: (x, y, dir_index) -> best cost-so-far tuple (key order)
-    best: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-    parents: dict[tuple[int, int, int], tuple[int, int, int] | None] = {}
     sx, sy = start.x, start.y
-    zero = (0, 0, 0)
+    sp = index.at(sx, sy)
+    # A start off the plane has no legal state: the search finds nothing.
+    start_dis = [] if sp is None else [_DIR_INDEX[d] for d in start_directions]
+    heap: list[int] = []
+    # Heap keys carry only (f, counter); the state and cost pushed with
+    # counter ``n`` are ``push_sid[n]``/``push_cost[n]``.
+    push_sid: list[int] = []
+    push_cost: list[int] = []
+    best: dict[int, int] = {}
+    parents: dict[int, int | None] = {}
+    counter = 0
     t_search = time.perf_counter()
-    initial_bound: tuple[int, int, int] | None = None
-    for d in start_directions:
-        di = _DIR_INDEX[d]
-        state = (sx, sy, di)
-        best[state] = zero
-        parents[state] = None
-        hb, hc, hl = heur(sx, sy, di)
-        f = (hb, hc, hl) if crossings_first else (hb, hl, hc)
+    initial_bound: int | None = None
+    for di in start_dis:
+        sid = (sp << 2) | di
+        best[sid] = 0
+        parents[sid] = None
+        f = bounds.geometric(sp, di)
         if initial_bound is None or f < initial_bound:
             initial_bound = f
-        heapq.heappush(heap, (f, counter, zero, state))
+        heapq.heappush(heap, (f << _COUNTER_BITS) | counter)
+        push_sid.append(sid)
+        push_cost.append(0)
         counter += 1
 
     expanded = 0
     pruned = 0
     goal_state = None
-    goal_cost = None
+    goal_cost = 0
     heappush, heappop = heapq.heappush, heapq.heappop
-
-    if bidirectional:
-        return _route_bidirectional(
-            heap,
-            best,
-            parents,
-            counter,
-            target_dirs,
-            heur,
-            (_stops_row, _stops_col, _hrange, _vrange),
-            (sx, sy),
-            frozenset(_DIR_INDEX[d] for d in start_directions),
-            allow,
-            extra_hard,
-            view,
-            crossings_first,
-            cost_order,
-            stats,
-        )
 
     # -- escalation: exact bend-distance lower bound --------------------
     # Most connections finish in a few hundred pops under the geometric
     # bound, but its bend component saturates at 3 while congested
     # connections need 4-11 bends, so the search degenerates towards
     # uniform-cost on the expensive tail.  Such a connection escalates:
-    # a line-expansion 0-1 BFS from the target set computes the *exact*
-    # minimum remaining bends for every reachable (point, axis) —
-    # relaxed only by ignoring U-turn bans and ``extra_hard``, both the
-    # admissible direction — and the search restarts under the stronger
-    # bound.  Expansions spent before the restart stay counted; the
-    # budget keeps that waste small against the tail it removes.
-
-    def _bend_distance() -> tuple[
-        dict[tuple[int, int], int], dict[tuple[int, int], int]
-    ]:
-        dist_h: dict[tuple[int, int], int] = {}
-        dist_v: dict[tuple[int, int], int] = {}
-        cur_h: list[tuple[int, int]] = []
-        cur_v: list[tuple[int, int]] = []
-        # Seeds mirror the goal-acceptance rule, per arrival axis, so
-        # every acceptable goal state reads distance 0.
-        for pk, dirs in target_dirs.items():
-            if pk in occ_pts and pk not in self_clear:
-                continue
-            if pk in extra_hard:
-                continue
-            if (pk in hard_blocked or pk in hard_claims) and pk not in allow:
-                continue
-            for tdi in range(4) if dirs is None else dirs:
-                if _DIR_STEPS[tdi][2]:
-                    if pk not in blocked[0] or pk in unblock[0]:
-                        cur_h.append(pk)
-                else:
-                    if pk not in blocked[1] or pk in unblock[1]:
-                        cur_v.append(pk)
-        level = 0
-        while cur_h or cur_v:
-            nxt_h: list[tuple[int, int]] = []
-            nxt_v: list[tuple[int, int]] = []
-            # Straight propagation along a free interval is one "line"
-            # (bend-free, so the whole interval joins this level); a
-            # bendable swept point spawns the perpendicular axis at
-            # level + 1.  Any visited point implies its whole interval
-            # is visited, so each (point, axis) is swept exactly once.
-            for pk in cur_h:
-                if pk in dist_h:
-                    continue
-                px, py = pk
-                srow = _stops_row(py)
-                j = bisect_left(srow, px)
-                lo = srow[j - 1] + 1 if j > 0 else x1
-                hi = srow[j] - 1 if j < len(srow) else x2
-                for x in range(lo, hi + 1):
-                    key = (x, py)
-                    dist_h[key] = level
-                    if key not in dist_v and (
-                        key not in occ_pts or key in self_clear
-                    ):
-                        nxt_v.append(key)
-            for pk in cur_v:
-                if pk in dist_v:
-                    continue
-                px, py = pk
-                scol = _stops_col(px)
-                j = bisect_left(scol, py)
-                lo = scol[j - 1] + 1 if j > 0 else y1
-                hi = scol[j] - 1 if j < len(scol) else y2
-                for y in range(lo, hi + 1):
-                    key = (px, y)
-                    dist_v[key] = level
-                    if key not in dist_h and (
-                        key not in occ_pts or key in self_clear
-                    ):
-                        nxt_h.append(key)
-            cur_h, cur_v = nxt_h, nxt_v
-            level += 1
-        return dist_h, dist_v
-
-    dist_h: dict[tuple[int, int], int] = {}
-    dist_v: dict[tuple[int, int], int] = {}
-
-    def heur_exact(qx: int, qy: int, di: int) -> tuple[int, int, int] | None:
-        """The geometric/crossover bound upgraded by the BFS bend
-        distance; ``None`` prunes states the relaxed BFS cannot reach
-        (then no real completion exists either)."""
-        hb, hc, hl = heur(qx, qy, di)
-        key = (qx, qy)
-        if _DIR_STEPS[di][2]:
-            d_straight = dist_h.get(key)
-            d_turn = dist_v.get(key)
-        else:
-            d_straight = dist_v.get(key)
-            d_turn = dist_h.get(key)
-        cand = d_straight
-        if d_turn is not None and (key not in occ_pts or key in self_clear):
-            dt = d_turn + 1
-            if cand is None or dt < cand:
-                cand = dt
-        if cand is None:
-            return None
-        if cand > hb:
-            return cand, 0, hl
-        return hb, hc, hl
-
-    cur_heur: object = heur
+    # the line-expansion BFS from the targets (:func:`bend_distance`)
+    # gives the *exact* minimum remaining bends for every reachable
+    # (point, axis) and the search restarts under the stronger bound.
+    # Expansions spent before the restart stay counted; the budget keeps
+    # that waste small against the tail it removes.
+    cur_heur = bounds.geometric
     escalated = False
+    bfs_s = 0.0
     # Search-footprint hull: every read the search performs stays within
     # the expanded states (plus one for push-time probes) and the
     # start/target hull the heuristic ranges towards.
@@ -616,36 +720,40 @@ def route_connection(
     while heap:
         if not escalated and expanded >= _ESCALATE_AFTER:
             escalated = True
-            bfs_h, bfs_v = _bend_distance()
-            dist_h.update(bfs_h)
-            dist_v.update(bfs_v)
-            cur_heur = heur_exact
+            t_bfs = time.perf_counter()
+            bounds.escalate(seeds_h, seeds_v)
+            bfs_s = time.perf_counter() - t_bfs
+            counters.observe("route.escalation_bfs_s", bfs_s)
+            cur_heur = bounds.exact
             counters.inc("route.heur_escalations")
             if stats is not None:
                 stats.escalations += 1
             heap = []
             best = {}
             parents = {}
-            for d in start_directions:
-                di = _DIR_INDEX[d]
-                state = (sx, sy, di)
-                best[state] = zero
-                parents[state] = None
-                hbl = heur_exact(sx, sy, di)
-                if hbl is None:
+            for di in start_dis:
+                sid = (sp << 2) | di
+                best[sid] = 0
+                parents[sid] = None
+                f = cur_heur(sp, di)
+                if f is None:
                     continue
-                hb, hc, hl = hbl
-                f = (hb, hc, hl) if crossings_first else (hb, hl, hc)
-                heappush(heap, (f, counter, zero, state))
+                heappush(heap, (f << _COUNTER_BITS) | counter)
+                push_sid.append(sid)
+                push_cost.append(0)
                 counter += 1
             if not heap:
                 break
-        _f, _, cost, state = heappop(heap)
-        if cost != best.get(state):
+        n = heappop(heap) & _COUNTER_MASK
+        sid = push_sid[n]
+        cost = push_cost[n]
+        if cost != best[sid]:
             pruned += 1  # stale entry, superseded by a better push
             continue
         expanded += 1
-        px, py, di = state
+        p = sid >> 2
+        px = (p >> hbits) + x0
+        py = (p & hmask) + y0
         if px < fx1:
             fx1 = px
         elif px > fx2:
@@ -655,62 +763,36 @@ def route_connection(
         elif py > fy2:
             fy2 = py
 
-        point_key = (px, py)
-        arrival_ok = target_dirs.get(point_key, _MISSING)
-        if arrival_ok is not _MISSING and parents[state] is not None:
-            if (arrival_ok is None or di in arrival_ok) and (
-                point_key not in occ_pts or point_key in self_clear
-            ):
-                goal_state, goal_cost = state, cost
-                break
+        if sid in goal and parents[sid] is not None:
+            goal_state, goal_cost = sid, cost
+            break
 
-        can_turn = point_key not in occ_pts or point_key in self_clear
-        c0, c1, c2 = cost
-        for ndi in range(4):
-            if ndi == _OPPOSITE[di]:
+        can_turn = bend[p]
+        for ndi, step, passable, crossing, turn in moves[sid & 3]:
+            if turn and not can_turn:
                 continue
-            turning = ndi != di
-            if turning and not can_turn:
+            q = p + step
+            if not passable[q]:
                 continue
-            dx, dy, moves_h = _DIR_STEPS[ndi]
-            qx, qy = px + dx, py + dy
-            if not (x1 <= qx <= x2 and y1 <= qy <= y2):
-                continue
-            q = (qx, qy)
-            if q in extra_hard:
-                continue
-            if (q in hard_blocked or q in hard_claims) and q not in allow:
-                continue
-            axis = 0 if moves_h else 1
-            if q in blocked[axis] and q not in unblock[axis]:
-                continue
-            cross = cross_tot[axis].get(q, 0)
-            if cross:
-                cross -= own_cross[axis].get(q, 0)
-            if crossings_first:
-                ncost = (c0 + turning, c1 + cross, c2 + 1)
-            else:
-                ncost = (c0 + turning, c1 + 1, c2 + cross)
-            nstate = (qx, qy, ndi)
-            old = best.get(nstate)
+            ncost = cost + turn + crossing[q] * cross_unit + len_unit
+            nsid = (q << 2) | ndi
+            old = best.get(nsid)
             if old is None or ncost < old:
-                hhl = cur_heur(qx, qy, ndi)
-                if hhl is None:
+                h = cur_heur(q, ndi)
+                if h is None:
                     continue
-                best[nstate] = ncost
-                parents[nstate] = state
-                hb, hc, hl = hhl
-                if crossings_first:
-                    f = (ncost[0] + hb, ncost[1] + hc, ncost[2] + hl)
-                else:
-                    f = (ncost[0] + hb, ncost[1] + hl, ncost[2] + hc)
-                heappush(heap, (f, counter, ncost, nstate))
+                best[nsid] = ncost
+                parents[nsid] = sid
+                heappush(heap, ((ncost + h) << _COUNTER_BITS) | counter)
+                push_sid.append(nsid)
+                push_cost.append(ncost)
                 counter += 1
 
-    found = goal_state is not None and goal_cost is not None
+    found = goal_state is not None
     final_cost = (
-        _unkey(goal_cost, cost_order) if found else None
+        _unkey(_unpack(goal_cost), cost_order) if found else None
     )  # (bends, crossings, length)
+    bound = _unpack(initial_bound) if initial_bound is not None else None
     if stats is not None:
         stats.states_expanded += expanded
         stats.pruned += pruned
@@ -720,29 +802,30 @@ def route_connection(
         row = {
             "net": net,
             "start": [sx, sy],
-            "targets": len(target_dirs),
+            "targets": len(targets),
             "pops": expanded,
             "pruned": pruned,
-            "bound": list(initial_bound) if initial_bound else None,
+            "bound": list(bound) if bound else None,
             "cost": list(final_cost) if final_cost else None,
             "escalated": escalated,
             "found": found,
             "area": (fx2 - fx1 + 1) * (fy2 - fy1 + 1),
             "unbounded": escalated,
             "seconds": round(time.perf_counter() - t_search, 6),
+            "bfs_s": round(bfs_s, 6),
         }
         stats.record_connection(row)
     counters.inc("route.connections")
     counters.inc("route.expansions", expanded)
     counters.inc("route.astar_pruned", pruned)
     counters.observe("route.expansions_per_connection", expanded)
-    if found and initial_bound is not None:
+    if found and bound is not None:
         # Bound tightness: estimated total bends at the start vs the
         # optimum actually found (1.0 = the bound was exact; +1 smooths
         # the all-straight zero-bend case).
         counters.observe(
             "route.bound_tightness",
-            (initial_bound[0] + 1) / (final_cost[0] + 1),
+            (bound[0] + 1) / (final_cost[0] + 1),
         )
     if not found:
         counters.inc("route.connection_failures")
@@ -751,7 +834,7 @@ def route_connection(
     path: list[Point] = []
     cursor = goal_state
     while cursor is not None:
-        path.append(Point(cursor[0], cursor[1]))
+        path.append(index.point_at(cursor >> 2))
         cursor = parents[cursor]
     path.reverse()
     bends, crossings, length = final_cost
@@ -767,367 +850,6 @@ def route_connection(
             else (fx1 - 1, fy1 - 1, fx2 + 1, fy2 + 1)
         ),
     )
-
-
-def _route_bidirectional(
-    heap: list,
-    best: dict[tuple[int, int, int], tuple[int, int, int]],
-    parents: dict[tuple[int, int, int], tuple[int, int, int] | None],
-    counter: int,
-    target_dirs: dict[tuple[int, int], frozenset[int] | None],
-    heur,
-    helpers,
-    start_xy: tuple[int, int],
-    start_dir_set: frozenset[int],
-    allow: frozenset[Point],
-    extra_hard: frozenset[Point],
-    view,
-    crossings_first: bool,
-    cost_order: CostOrder,
-    stats: SearchStats | None,
-) -> RouteResult | None:
-    """Meet-in-the-middle continuation of :func:`route_connection`.
-
-    The forward search (seeded ``heap``/``best``/``parents``) keeps its
-    semantics; a backward search grows path *suffixes* from every
-    acceptable goal state towards the start.  Backward states share the
-    forward state space — ``(point, entry direction)`` — and a backward
-    cost deliberately *excludes* the entry cost at its own point (the
-    forward cost-so-far pays it), so meeting on an identical state sums
-    to exactly the full path cost with nothing double-counted.
-
-    A meet candidate ``mu`` is recorded (and its path snapshotted — later
-    reopenings may rewire parent chains) whenever a popped state exists
-    on the other side.  Termination is sound per side: every undiscovered
-    path must still thread an open state on *each* side with ``f`` at
-    most its cost, so once either side's minimum ``f`` reaches ``mu`` no
-    cheaper path remains.  Both sides stay exhaustive — ``None`` is
-    returned only when no connection exists."""
-    x1, y1 = view.x1, view.y1
-    x2, y2 = view.x2, view.y2
-    hard_blocked = view.blocked
-    hard_claims = view.claims
-    blocked = (view.blocked_h, view.blocked_v)
-    unblock = (view.unblock_h, view.unblock_v)
-    cross_tot = (view.cross_h, view.cross_v)
-    own_cross = (view.own_cross_h, view.own_cross_v)
-    occ_pts = view.occ_pts
-    self_clear = view.self_clear
-    sx, sy = start_xy
-    zero = (0, 0, 0)
-    heappush, heappop = heapq.heappush, heapq.heappop
-
-    stops_row, stops_col, hrange, vrange = helpers
-
-    def _hfree(y: int, a: int, b: int) -> bool:
-        lst = stops_row(y)
-        i = bisect_left(lst, a)
-        return i >= len(lst) or lst[i] > b
-
-    def _vfree(x: int, a: int, b: int) -> bool:
-        lst = stops_col(x)
-        i = bisect_left(lst, a)
-        return i >= len(lst) or lst[i] > b
-
-    def _bend_ok(x: int, y: int) -> bool:
-        return (x, y) not in occ_pts or (x, y) in self_clear
-
-    def heur_b(qx: int, qy: int, di: int) -> tuple[int, int, int]:
-        """Admissible (bends, crossings, length) bound on any forward
-        prefix from the start to state ``((qx, qy), di)``.
-
-        The backward side enjoys what the forward side lacks: a single
-        "target" (the start) and a fixed arrival direction, so the
-        0-bend and 1-bend prefix candidates are *unique* straight runs
-        whose feasibility (stop lists) and crossing price (range sums,
-        including the entry crossing at ``q`` itself — the forward half
-        of a meet pays it) are read off exactly.  Feasibility may only
-        over-approximate — ``extra_hard`` points are absent from the
-        index stop lists — which weakens the bound without breaking
-        admissibility: a claimed ``(0, c, l)`` stays lexicographically
-        below every >=1-bend prefix regardless of ``c``."""
-        hl = abs(qx - sx) + abs(qy - sy)
-        if di == 0:  # entered moving LEFT: start right of q for cheap prefixes
-            if sy == qy:
-                if sx >= qx:
-                    if _hfree(qy, qx + 1, sx - 1):
-                        return 0, hrange(qy, qx, sx - 1), hl
-                    return 2, 0, hl
-                return 3, 0, hl
-            if sx > qx and _bend_ok(sx, qy):
-                lo, hi = (sy + 1, qy) if qy > sy else (qy, sy - 1)
-                if _vfree(sx, lo, hi) and _hfree(qy, qx + 1, sx - 1):
-                    return 1, vrange(sx, lo, hi) + hrange(qy, qx, sx - 1), hl
-            return 2, 0, hl
-        if di == 1:  # entered moving RIGHT
-            if sy == qy:
-                if sx <= qx:
-                    if _hfree(qy, sx + 1, qx - 1):
-                        return 0, hrange(qy, sx + 1, qx), hl
-                    return 2, 0, hl
-                return 3, 0, hl
-            if sx < qx and _bend_ok(sx, qy):
-                lo, hi = (sy + 1, qy) if qy > sy else (qy, sy - 1)
-                if _vfree(sx, lo, hi) and _hfree(qy, sx + 1, qx - 1):
-                    return 1, vrange(sx, lo, hi) + hrange(qy, sx + 1, qx), hl
-            return 2, 0, hl
-        if di == 2:  # entered moving UP (+y): start below q
-            if sx == qx:
-                if sy <= qy:
-                    if _vfree(qx, sy + 1, qy - 1):
-                        return 0, vrange(qx, sy + 1, qy), hl
-                    return 2, 0, hl
-                return 3, 0, hl
-            if sy < qy and _bend_ok(qx, sy):
-                lo, hi = (sx + 1, qx) if qx > sx else (qx, sx - 1)
-                if _hfree(sy, lo, hi) and _vfree(qx, sy + 1, qy - 1):
-                    return 1, hrange(sy, lo, hi) + vrange(qx, sy + 1, qy), hl
-            return 2, 0, hl
-        # entered moving DOWN (-y): start above q
-        if sx == qx:
-            if sy >= qy:
-                if _vfree(qx, qy + 1, sy - 1):
-                    return 0, vrange(qx, qy, sy - 1), hl
-                return 2, 0, hl
-            return 3, 0, hl
-        if sy > qy and _bend_ok(qx, sy):
-            lo, hi = (sx + 1, qx) if qx > sx else (qx, sx - 1)
-            if _hfree(sy, lo, hi) and _vfree(qx, qy + 1, sy - 1):
-                return 1, hrange(sy, lo, hi) + vrange(qx, qy, sy - 1), hl
-        return 2, 0, hl
-
-    # Backward seeds: exactly the forward goal-acceptance rule — a
-    # terminable (foreign-free) target, an allowed arrival direction,
-    # and a legal entry along it.
-    heap_b: list = []
-    best_b: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-    parents_b: dict[tuple[int, int, int], tuple[int, int, int] | None] = {}
-    counter_b = 0
-    for pk, dirs in target_dirs.items():
-        if pk in occ_pts and pk not in self_clear:
-            continue
-        if pk in extra_hard:
-            continue
-        if (pk in hard_blocked or pk in hard_claims) and pk not in allow:
-            continue
-        tx, ty = pk
-        for di in range(4) if dirs is None else dirs:
-            axis = 0 if _DIR_STEPS[di][2] else 1
-            if pk in blocked[axis] and pk not in unblock[axis]:
-                continue
-            st = (tx, ty, di)
-            best_b[st] = zero
-            parents_b[st] = None
-            hbb, hcb, hlb = heur_b(tx, ty, di)
-            fb = (hbb, hcb, hlb) if crossings_first else (hbb, hlb, hcb)
-            heappush(heap_b, (fb, counter_b, zero, st))
-            counter_b += 1
-
-    expanded = 0
-    pruned = 0
-    mu: tuple[int, int, int] | None = None
-    mu_path: list[Point] | None = None
-    # Search-footprint hull over both fronts (see RouteResult.footprint).
-    fx1 = fx2 = sx
-    fy1 = fy2 = sy
-    for tx, ty in target_dirs:
-        if tx < fx1:
-            fx1 = tx
-        elif tx > fx2:
-            fx2 = tx
-        if ty < fy1:
-            fy1 = ty
-        elif ty > fy2:
-            fy2 = ty
-
-    def snapshot(state: tuple[int, int, int]) -> list[Point]:
-        pts: list[Point] = []
-        cur: tuple[int, int, int] | None = state
-        while cur is not None:
-            pts.append(Point(cur[0], cur[1]))
-            cur = parents[cur]
-        pts.reverse()  # start .. meet point
-        cur = parents_b[state]
-        while cur is not None:
-            pts.append(Point(cur[0], cur[1]))
-            cur = parents_b[cur]
-        return pts
-
-    while True:
-        if mu is not None and (
-            not heap
-            or heap[0][0] >= mu
-            or not heap_b
-            or heap_b[0][0] >= mu
-        ):
-            break
-        if not heap or not heap_b:
-            break  # a side exhausted with no meet: no connection exists
-        if heap[0][0] <= heap_b[0][0]:
-            _f, _, cost, state = heappop(heap)
-            if cost != best.get(state):
-                pruned += 1
-                continue
-            expanded += 1
-            other = best_b.get(state)
-            if other is not None:
-                cand = (
-                    cost[0] + other[0],
-                    cost[1] + other[1],
-                    cost[2] + other[2],
-                )
-                if mu is None or cand < mu:
-                    mu = cand
-                    mu_path = snapshot(state)
-            px, py, di = state
-            if px < fx1:
-                fx1 = px
-            elif px > fx2:
-                fx2 = px
-            if py < fy1:
-                fy1 = py
-            elif py > fy2:
-                fy2 = py
-            point_key = (px, py)
-            can_turn = point_key not in occ_pts or point_key in self_clear
-            c0, c1, c2 = cost
-            for ndi in range(4):
-                if ndi == _OPPOSITE[di]:
-                    continue
-                turning = ndi != di
-                if turning and not can_turn:
-                    continue
-                dx, dy, moves_h = _DIR_STEPS[ndi]
-                qx, qy = px + dx, py + dy
-                if not (x1 <= qx <= x2 and y1 <= qy <= y2):
-                    continue
-                q = (qx, qy)
-                if q in extra_hard:
-                    continue
-                if (q in hard_blocked or q in hard_claims) and q not in allow:
-                    continue
-                axis = 0 if moves_h else 1
-                if q in blocked[axis] and q not in unblock[axis]:
-                    continue
-                cross = cross_tot[axis].get(q, 0)
-                if cross:
-                    cross -= own_cross[axis].get(q, 0)
-                if crossings_first:
-                    ncost = (c0 + turning, c1 + cross, c2 + 1)
-                else:
-                    ncost = (c0 + turning, c1 + 1, c2 + cross)
-                nstate = (qx, qy, ndi)
-                old = best.get(nstate)
-                if old is None or ncost < old:
-                    best[nstate] = ncost
-                    parents[nstate] = state
-                    hb, hc, hl = heur(qx, qy, ndi)
-                    if crossings_first:
-                        f = (ncost[0] + hb, ncost[1] + hc, ncost[2] + hl)
-                    else:
-                        f = (ncost[0] + hb, ncost[1] + hl, ncost[2] + hc)
-                    heappush(heap, (f, counter, ncost, nstate))
-                    counter += 1
-        else:
-            _f, _, cost, state = heappop(heap_b)
-            if cost != best_b.get(state):
-                pruned += 1
-                continue
-            expanded += 1
-            other = best.get(state)
-            if other is not None:
-                cand = (
-                    cost[0] + other[0],
-                    cost[1] + other[1],
-                    cost[2] + other[2],
-                )
-                if mu is None or cand < mu:
-                    mu = cand
-                    mu_path = snapshot(state)
-            px, py, di = state
-            if px < fx1:
-                fx1 = px
-            elif px > fx2:
-                fx2 = px
-            if py < fy1:
-                fy1 = py
-            elif py > fy2:
-                fy2 = py
-            dx, dy, moves_h = _DIR_STEPS[di]
-            qx, qy = px - dx, py - dy
-            if not (x1 <= qx <= x2 and y1 <= qy <= y2):
-                continue
-            q = (qx, qy)
-            q_is_start = qx == sx and qy == sy
-            q_hard = q in extra_hard or (
-                (q in hard_blocked or q in hard_claims) and q not in allow
-            )
-            can_turn_q = q not in occ_pts or q in self_clear
-            # The meet point's entry cost belongs to the forward side;
-            # moving the frontier from p to q charges p's entry here.
-            axis_p = 0 if moves_h else 1
-            cross_p = cross_tot[axis_p].get(state[:2], 0)
-            if cross_p:
-                cross_p -= own_cross[axis_p].get(state[:2], 0)
-            c0, c1, c2 = cost
-            for ndi in range(4):
-                if ndi == _OPPOSITE[di]:
-                    continue
-                turning = ndi != di
-                if turning and not can_turn_q:
-                    continue
-                if not (q_is_start and ndi in start_dir_set):
-                    # The untraversed start state is never *entered*, so
-                    # its entry legality is moot — exactly like the
-                    # forward side's initial states.
-                    if q_hard:
-                        continue
-                    axis_q = 0 if _DIR_STEPS[ndi][2] else 1
-                    if q in blocked[axis_q] and q not in unblock[axis_q]:
-                        continue
-                if crossings_first:
-                    ncost = (c0 + turning, c1 + cross_p, c2 + 1)
-                else:
-                    ncost = (c0 + turning, c1 + 1, c2 + cross_p)
-                nstate = (qx, qy, ndi)
-                old = best_b.get(nstate)
-                if old is None or ncost < old:
-                    best_b[nstate] = ncost
-                    parents_b[nstate] = state
-                    hbb, hcb, hlb = heur_b(qx, qy, ndi)
-                    if crossings_first:
-                        fb = (ncost[0] + hbb, ncost[1] + hcb, ncost[2] + hlb)
-                    else:
-                        fb = (ncost[0] + hbb, ncost[1] + hlb, ncost[2] + hcb)
-                    heappush(heap_b, (fb, counter_b, ncost, nstate))
-                    counter_b += 1
-
-    if stats is not None:
-        stats.states_expanded += expanded
-        stats.pruned += pruned
-        stats.routes += 1
-        if mu is None:
-            stats.failures += 1
-    counters.inc("route.connections")
-    counters.inc("route.expansions", expanded)
-    counters.inc("route.astar_pruned", pruned)
-    counters.observe("route.expansions_per_connection", expanded)
-    if mu is None or mu_path is None:
-        counters.inc("route.connection_failures")
-        return None
-    bends, crossings, length = _unkey(mu, cost_order)
-    return RouteResult(
-        path=normalize_path(mu_path),
-        bends=bends,
-        crossings=crossings,
-        length=length,
-        states_expanded=expanded,
-        footprint=(fx1 - 1, fy1 - 1, fx2 + 1, fy2 + 1),
-    )
-
-
-_MISSING = object()
-_INF = (1 << 60, 1 << 60, 1 << 60)
 
 
 def _unkey(

@@ -27,8 +27,7 @@ from typing import Iterable, Mapping
 from ..core.geometry import Direction, Orientation, Point, normalize_path
 from .line_expansion import (
     _DIR_INDEX,
-    _DIR_STEPS,
-    _MISSING,
+    _DIR_ORDER,
     _OPPOSITE,
     CostOrder,
     RouteResult,
@@ -36,6 +35,10 @@ from .line_expansion import (
     _unkey,
 )
 from .plane import Plane
+
+#: (dx, dy, moves_horizontally) per direction of the state encoding.
+_DIR_STEPS = [(d.dx, d.dy, d.dy == 0) for d in _DIR_ORDER]
+_MISSING = object()
 
 
 class ReferenceSnapshot:

@@ -165,12 +165,14 @@ def _canonical_index(index: PlaneIndex) -> dict:
     return {
         "h_block": dict(index.h_block),
         "v_block": dict(index.v_block),
-        "blocked_h_pts": set(index.blocked_h_pts),
-        "blocked_v_pts": set(index.blocked_v_pts),
         "cross_h": dict(index.cross_h),
         "cross_v": dict(index.cross_v),
         "occ": dict(index.occ),
-        "occ_pts": set(index.occ_pts),
+        "pass_h": bytes(index.pass_h),
+        "pass_v": bytes(index.pass_v),
+        "cross_h_col": index.cross_h_col.tobytes(),
+        "cross_v_col": index.cross_v_col.tobytes(),
+        "bend": bytes(index.bend),
         "contrib": {n: dict(c) for n, c in index.contrib.items()},
         "rows": {y: set(xs) for y, xs in index._rows.items() if xs},
         "cols": {x: set(ys) for x, ys in index._cols.items() if ys},
@@ -218,33 +220,3 @@ class TestRemoveNetRollback:
         before = _canonical_index(plane.index)
         plane.remove_net("no-such-net")
         assert _canonical_index(plane.index) == before
-
-
-class TestBidirectionalExact:
-    @pytest.mark.parametrize(
-        "order", [CostOrder.BENDS_CROSSINGS_LENGTH, CostOrder.BENDS_LENGTH_CROSSINGS]
-    )
-    def test_bidirectional_matches_reference_optimum(self, order):
-        diagram = _placed(WORKLOADS["example2"]())
-        counters.get_registry().reset()
-        report = route_diagram(
-            diagram,
-            RouterOptions(
-                cost_order=order, bidirectional=True, verify_optimum=True
-            ),
-        )
-        snap = counters.get_registry().snapshot()
-        data = snap.get("counters", snap)
-        assert data.get("route.verified_connections", 0) >= report.nets_routed
-        assert data.get("route.verify_mismatch", 0) == 0
-        check_diagram(diagram)
-
-    def test_bidirectional_same_metrics_as_serial(self):
-        base = _placed(WORKLOADS["random"]())
-        uni, bidi = copy.deepcopy(base), copy.deepcopy(base)
-        ru = route_diagram(uni, RouterOptions())
-        rb = route_diagram(bidi, RouterOptions(bidirectional=True))
-        assert (ru.nets_routed, ru.nets_failed) == (rb.nets_routed, rb.nets_failed)
-        mu, mb = diagram_metrics(uni), diagram_metrics(bidi)
-        # Equal-cost tie-break paths may differ; the optimum totals may not.
-        assert (mu.bends, mu.crossovers) == (mb.bends, mb.crossovers)

@@ -36,16 +36,36 @@ def _lines(d: dict) -> dict:
     return {k: set(v) for k, v in d.items() if v}
 
 
+def assert_columns_match_aggregates(plane: Plane) -> None:
+    """Every flat column entry, pad included, equals the value recomputed
+    from the plane and the index's per-point aggregates."""
+    index, b = plane.index, plane.bounds
+    for x in range(b.x - 1, b.x2 + 2):
+        for y in range(b.y - 1, b.y2 + 2):
+            p = Point(x, y)
+            i = ((x - index.x0) << index.hbits) | (y - index.y0)
+            inside = index.at(x, y) == i
+            free = inside and p not in plane.blocked and p not in plane.claims
+            assert index.pass_h[i] == (free and p not in index.h_block), p
+            assert index.pass_v[i] == (free and p not in index.v_block), p
+            assert index.cross_h_col[i] == (index.cross_h.get(p, 0) if inside else 0), p
+            assert index.cross_v_col[i] == (index.cross_v.get(p, 0) if inside else 0), p
+            assert index.bend[i] == (inside and p not in index.occ), p
+
+
 def assert_index_matches_rebuild(plane: Plane) -> None:
     live, fresh = plane.index, _fresh_index(plane)
     assert live.h_block == fresh.h_block
     assert live.v_block == fresh.v_block
-    assert live.blocked_h_pts == fresh.blocked_h_pts
-    assert live.blocked_v_pts == fresh.blocked_v_pts
     assert live.cross_h == fresh.cross_h
     assert live.cross_v == fresh.cross_v
     assert live.occ == fresh.occ
-    assert live.occ_pts == fresh.occ_pts
+    assert live.pass_h == fresh.pass_h
+    assert live.pass_v == fresh.pass_v
+    assert live.cross_h_col == fresh.cross_h_col
+    assert live.cross_v_col == fresh.cross_v_col
+    assert live.bend == fresh.bend
+    assert_columns_match_aggregates(plane)
     assert {n: c for n, c in live.contrib.items() if c} == {
         n: c for n, c in fresh.contrib.items() if c
     }
@@ -75,6 +95,16 @@ def assert_view_matches_snapshot(plane: Plane, net: str, allow=frozenset()) -> N
         assert view.entry_blocked(q, False) == (q in snap.blocked_v), q
         assert view.crossings_at(q, True) == snap.cross_h.get(q, 0), q
         assert view.crossings_at(q, False) == snap.cross_v.get(q, 0), q
+        i = plane.index.at(q.x, q.y)
+        if i is None:
+            continue
+        # The view's patched columns answer the same questions per index.
+        hard = q in snap.hard
+        assert view.pass_h[i] == (not hard and q not in snap.blocked_h), q
+        assert view.pass_v[i] == (not hard and q not in snap.blocked_v), q
+        assert view.cross_h[i] == snap.cross_h.get(q, 0), q
+        assert view.cross_v[i] == snap.cross_v.get(q, 0), q
+        assert view.bend[i] == (q not in snap.foreign_any), q
 
 
 class TestIncrementalConsistency:
@@ -133,7 +163,7 @@ class TestIncrementalConsistency:
             nodes={"w": set()},
         )
         assert_index_matches_rebuild(p)
-        assert p.index.occ_pts == {Point(3, 3)}
+        assert set(p.index.occ) == {Point(3, 3)}
         assert Point(1, 1) in p.blocked
 
     def test_randomized_mutation_storm(self):
@@ -180,7 +210,7 @@ class TestRunStop:
         c = start + step
         while lo <= c <= hi + 5:  # scan a little past the border too
             q = Point(line, c) if vertical else Point(c, line)
-            if view._stops(q, vertical):
+            if view.hard_at(q) or view.entry_blocked(q, not vertical):
                 return c
             c += step
         return None

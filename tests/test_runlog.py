@@ -230,6 +230,22 @@ class TestInspectCli:
         assert rc == 0
         assert "bends" in capsys.readouterr().out
 
+    def test_explain_shows_escalation_bfs_time(self, runlog, capsys, registry):
+        from repro.workloads import example2_controller
+
+        result = generate(example2_controller(), runlog=runlog, run_name="ex2")
+        search = result.run_record.extra["search"]
+        escalated = [r for r in search["connections"] if r["escalated"]]
+        assert escalated and all(r["bfs_s"] > 0 for r in escalated)
+        net = escalated[0]["net"]
+        assert search["nets"][net]["bfs_s"] > 0
+        run_id = result.run_record.run_id
+        assert inspect_main(["explain", run_id, "--runlog", str(runlog.path)]) == 0
+        assert "bfs_s" in capsys.readouterr().out
+        assert inspect_main(["explain", run_id, net, "--runlog", str(runlog.path)]) == 0
+        out = capsys.readouterr().out
+        assert "bfs_s" in out and "per-connection search detail" in out
+
     def test_record_writes_overlay_svg(self, tmp_path, network_files, registry):
         log = str(tmp_path / "runs.jsonl")
         svg = tmp_path / "overlay.svg"

@@ -115,6 +115,17 @@ class TestJobSpec:
                 }
             )
 
+    def test_legacy_bidirectional_option(self):
+        # Specs and journals from before the bidirectional engine was
+        # removed carry the flag: false still loads, true is a typed error.
+        spec = JobSpec.from_network(random_network(modules=4, seed=0))
+        data = spec.to_dict()
+        data["eureka"]["bidirectional"] = False
+        assert JobSpec.from_dict(data) == spec
+        data["eureka"]["bidirectional"] = True
+        with pytest.raises(JobError, match="bidirectional"):
+            JobSpec.from_dict(data)
+
 
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
