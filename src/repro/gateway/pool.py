@@ -48,6 +48,8 @@ from __future__ import annotations
 import inspect
 import multiprocessing
 import os
+import queue
+import signal
 import threading
 import time
 from collections import deque
@@ -70,6 +72,10 @@ _MSG_EVENT = "event"
 
 #: A job is retried after a worker crash at most this many attempts total.
 MAX_ATTEMPTS = 2
+
+#: Seconds an idle worker waits on its inbox between checks that its
+#: parent is still alive.
+_PARENT_CHECK_S = 1.0
 
 ResultCallback = Callable[[dict, int], None]
 EventCallback = Callable[[dict], None]
@@ -189,7 +195,7 @@ def _error_payload(payload: dict, status: str, error: str) -> dict:
     }
 
 
-def _worker_main(inbox, results, worker, wants_progress) -> None:
+def _worker_main(inbox, results, worker, wants_progress, parent_pid) -> None:
     """Child process body: pull one job at a time until the sentinel.
 
     ``results`` is this worker's **private** pipe connection to the
@@ -197,9 +203,23 @@ def _worker_main(inbox, results, worker, wants_progress) -> None:
     tear at most this worker's own channel — it can never wedge a lock
     or corrupt framing that other workers depend on, which a shared
     queue's cross-process write lock cannot guarantee.
+
+    A worker whose parent (``parent_pid``) is gone exits: it checks
+    while it waits for work and before it posts a message, since a
+    forked child holds its own pipe's read end and a large result would
+    block forever with nobody reading.
     """
+    # A forked child inherits the gateway's SIGTERM/SIGINT handlers;
+    # in a worker those signals must simply end the process.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+    def orphaned() -> bool:
+        return os.getppid() != parent_pid
 
     def post(msg) -> bool:
+        if orphaned():
+            return False
         try:
             results.send(msg)
             return True
@@ -213,7 +233,12 @@ def _worker_main(inbox, results, worker, wants_progress) -> None:
     ensure_sampler()
     label_thread("worker.main")
     while True:
-        item = inbox.get()
+        try:
+            item = inbox.get(timeout=_PARENT_CHECK_S)
+        except queue.Empty:
+            if orphaned():
+                break
+            continue
         if item is None:
             break
         ticket, timeout, payload, trace, deadline = item
@@ -399,7 +424,7 @@ class WorkerPool:
         recv_conn, send_conn = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(inbox, send_conn, self.worker_fn, self._wants_progress),
+            args=(inbox, send_conn, self.worker_fn, self._wants_progress, os.getpid()),
             daemon=True,
             name="artwork-worker",
         )

@@ -291,6 +291,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                 "pops": agg.get("pops", 0),
                 "bound_est": agg.get("bound_est", 0),
                 "escalations": agg.get("escalations", 0),
+                "discarded": agg.get("discarded_pops", 0),
                 "area": agg.get("area", 0),
                 "seconds": f"{agg.get('seconds', 0.0):.4f}",
                 "bfs_s": f"{agg.get('bfs_s', 0.0):.4f}",
@@ -317,10 +318,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         )
     print(f"net {args.net} ({record.run_id}/{record.name}): {agg.get('outcome', '?')}")
     for key in ("connections", "pops", "pruned", "bound_est",
-                "escalations", "failures", "area"):
-        print(f"  {key:<14}{agg.get(key, 0)}")
-    print(f"  {'seconds':<14}{agg.get('seconds', 0.0):.4f}")
-    print(f"  {'bfs_s':<14}{agg.get('bfs_s', 0.0):.4f}")
+                "escalations", "discarded_pops", "failures", "area"):
+        print(f"  {key:<16}{agg.get(key, 0)}")
+    print(f"  {'seconds':<16}{agg.get('seconds', 0.0):.4f}")
+    print(f"  {'bfs_s':<16}{agg.get('bfs_s', 0.0):.4f}")
     detail = [
         row for row in (search.get("connections") or [])
         if row.get("net") == args.net
@@ -335,6 +336,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                 "bound": f"{row.get('bound') or '—'}",
                 "cost": f"{row.get('cost') or '—'}",
                 "escalated": "yes" if row.get("escalated") else "",
+                "discarded": row.get("discarded_pops", 0),
                 "found": "yes" if row.get("found") else "NO",
                 "seconds": f"{row.get('seconds', 0.0):.4f}",
                 "bfs_s": f"{row.get('bfs_s', 0.0):.4f}",

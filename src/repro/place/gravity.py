@@ -76,45 +76,78 @@ def _connection_weight(
     return len(item.nets & placed_nets)
 
 
-def _feasible(
-    pos: Point, item: GravityItem, placed_rects: list[Rect], spacing: int
-) -> bool:
-    candidate = Rect(
-        pos.x - spacing, pos.y - spacing, item.width + 2 * spacing, item.height + 2 * spacing
-    )
-    return not any(candidate.overlaps(r) for r in placed_rects)
+def _nearest_free(c: int, lo: int, hi: int, spans: list[tuple[int, int]]) -> int | None:
+    """The coordinate in ``[lo, hi]`` (which holds ``c``) nearest ``c``
+    outside every closed interval of ``spans``; ties go to the smaller
+    one, ``None`` when there is none."""
+    spans.sort()
+    a = b = None  # the merged block of intervals being swept
+    for lo_s, hi_s in spans:
+        if b is not None and lo_s <= b + 1:
+            if hi_s > b:
+                b = hi_s
+        elif b is not None and b >= c:
+            break
+        else:
+            a, b = lo_s, hi_s
+    if a is None or not a <= c <= b:
+        return c
+    below, above = a - 1, b + 1
+    if below >= lo and (above > hi or c - below <= above - c):
+        return below
+    return above if above <= hi else None
 
 
 def _nearest_free_position(
     ideal: Point, item: GravityItem, placed_rects: list[Rect], spacing: int
 ) -> Point:
-    """Free position nearest to ``ideal`` (ring search by growing
-    Chebyshev radius, exact within each ring)."""
-    if _feasible(ideal, item, placed_rects, spacing):
+    """Free position nearest to ``ideal``: the nearest point of the first
+    Chebyshev ring around it that holds one.
+
+    A placed rect, grown by the item size and ``spacing``, forbids the
+    closed box of lower-left positions ``[r.x - w - s + 1, r.x2 + s - 1]
+    x [r.y - h - s + 1, r.y2 + s - 1]``.  Each ring is four straight sides,
+    and on each side the free coordinate nearest ``ideal`` follows from
+    the boxes' intervals crossing it (an interval sweep, O(placed) per
+    side).  Ties keep the order of a point-by-point scan of the ring: top
+    and bottom rows before the side columns, then smaller dx, top before
+    bottom, smaller dy, right before left.
+    """
+    w, h, s = item.width, item.height, spacing
+    boxes = []
+    for r in placed_rects:
+        bx1, bx2 = r.x - w - s + 1, r.x2 + s - 1
+        by1, by2 = r.y - h - s + 1, r.y2 + s - 1
+        if bx1 <= bx2 and by1 <= by2:
+            boxes.append((bx1, bx2, by1, by2))
+    ix, iy = ideal
+    if not any(
+        bx1 <= ix <= bx2 and by1 <= iy <= by2 for bx1, bx2, by1, by2 in boxes
+    ):
         return ideal
-    extent = sum(max(r.w, r.h) + max(item.width, item.height) + spacing + 2 for r in placed_rects)
+    extent = sum(max(r.w, r.h) + max(w, h) + s + 2 for r in placed_rects)
     max_radius = max(extent, 8)
     for radius in range(1, max_radius + 1):
-        best: Point | None = None
-        best_d = None
-        for p in _ring(ideal, radius):
-            if _feasible(p, item, placed_rects, spacing):
-                d = (p.x - ideal.x) ** 2 + (p.y - ideal.y) ** 2
-                if best_d is None or d < best_d:
-                    best, best_d = p, d
+        best: tuple | None = None
+        # Rows: key (distance, 0, dx, top first); columns: (distance, 1,
+        # dy, right first).
+        for side, y in ((0, iy + radius), (1, iy - radius)):
+            spans = [(b[0], b[1]) for b in boxes if b[2] <= y <= b[3]]
+            x = _nearest_free(ix, ix - radius, ix + radius, spans)
+            if x is not None:
+                key = ((x - ix) ** 2 + radius * radius, 0, x - ix, side, Point(x, y))
+                if best is None or key < best:
+                    best = key
+        for side, x in ((0, ix + radius), (1, ix - radius)):
+            spans = [(b[2], b[3]) for b in boxes if b[0] <= x <= b[1]]
+            y = _nearest_free(iy, iy - radius + 1, iy + radius - 1, spans)
+            if y is not None:
+                key = (radius * radius + (y - iy) ** 2, 1, y - iy, side, Point(x, y))
+                if best is None or key < best:
+                    best = key
         if best is not None:
-            return best
+            return best[-1]
     raise RuntimeError("gravity placement found no free position")  # pragma: no cover
-
-
-def _ring(center: Point, radius: int):
-    x, y = center
-    for dx in range(-radius, radius + 1):
-        yield Point(x + dx, y + radius)
-        yield Point(x + dx, y - radius)
-    for dy in range(-radius + 1, radius):
-        yield Point(x + radius, y + dy)
-        yield Point(x - radius, y + dy)
 
 
 def place_by_gravity(

@@ -320,6 +320,7 @@ def _search_detail(report: RoutingReport) -> dict:
                 "pruned": 0,
                 "bound_est": 0,
                 "escalations": 0,
+                "discarded_pops": 0,
                 "area": 0,
                 "seconds": 0.0,
                 "bfs_s": 0.0,
@@ -332,6 +333,7 @@ def _search_detail(report: RoutingReport) -> dict:
         bound = row.get("bound")
         agg["bound_est"] += int(bound[0]) if bound else 0
         agg["escalations"] += 1 if row.get("escalated") else 0
+        agg["discarded_pops"] += int(row.get("discarded_pops", 0))
         agg["area"] = max(agg["area"], int(row.get("area") or 0))
         agg["seconds"] += float(row.get("seconds", 0.0))
         agg["bfs_s"] += float(row.get("bfs_s", 0.0))

@@ -125,9 +125,20 @@ _DIR_ORDER = [Direction.LEFT, Direction.RIGHT, Direction.UP, Direction.DOWN]
 _DIR_INDEX = {d: i for i, d in enumerate(_DIR_ORDER)}
 _OPPOSITE = [1, 0, 3, 2]
 
-#: Pops a connection may spend under the geometric bound before the
-#: search escalates to the exact BFS bend-distance heuristic.
+#: Pops a connection whose start bound says fewer than two bends may
+#: spend under the geometric bound before the search restarts under the
+#: exact BFS bend-distance heuristic.
 _ESCALATE_AFTER = 256
+
+#: Largest plane (flat cells, pad included) on which a start bound of two
+#: or more bends escalates before the first pop.  That BFS sweeps the
+#: whole plane (about 0.1-0.3 us a cell) whether or not the search would
+#: have overrun its budget (256 pops at 8-10 us each).  On larger planes
+#: such starts are mostly short local jogs: on the 511-net grid datapath
+#: (156k cells) 258 start bounds say two or more bends but only 7
+#: connections overrun the budget, and escalating those 258 at the start
+#: made its routing 3.7x slower.
+_START_ESCALATION_MAX_CELLS = 1 << 16
 
 #: Cost and bound triples are packed into one int, one 32-bit field per
 #: component in key order (``a << 64 | b << 32 | c``): adding packed
@@ -699,17 +710,28 @@ def route_connection(
     heappush, heappop = heapq.heappush, heapq.heappop
 
     # -- escalation: exact bend-distance lower bound --------------------
-    # Most connections finish in a few hundred pops under the geometric
-    # bound, but its bend component saturates at 3 while congested
+    # The geometric bound's bend component saturates at 3 while congested
     # connections need 4-11 bends, so the search degenerates towards
     # uniform-cost on the expensive tail.  Such a connection escalates:
     # the line-expansion BFS from the targets (:func:`bend_distance`)
     # gives the *exact* minimum remaining bends for every reachable
-    # (point, axis) and the search restarts under the stronger bound.
-    # Expansions spent before the restart stay counted; the budget keeps
-    # that waste small against the tail it removes.
+    # (point, axis) and the search runs under the stronger bound.  From
+    # two bends on the geometric bound carries no crossing term, so on a
+    # plane small enough for the BFS to be cheap a start bound of two or
+    # more bends escalates before the first pop.  Other connections
+    # mostly finish in a few hundred pops; one that overstays the budget
+    # restarts escalated, and the pops spent before the restart stay
+    # counted (``discarded_pops`` in its telemetry row).
+    budget = (
+        0
+        if initial_bound is not None
+        and initial_bound >> (2 * _SHIFT) >= 2
+        and len(bend) <= _START_ESCALATION_MAX_CELLS
+        else _ESCALATE_AFTER
+    )
     cur_heur = bounds.geometric
     escalated = False
+    discarded = 0
     bfs_s = 0.0
     # Search-footprint hull: every read the search performs stays within
     # the expanded states (plus one for push-time probes) and the
@@ -718,14 +740,16 @@ def route_connection(
     fx2, fy2 = max(sx, tx2), max(sy, ty2)
 
     while heap:
-        if not escalated and expanded >= _ESCALATE_AFTER:
+        if not escalated and expanded >= budget:
             escalated = True
+            discarded = expanded
             t_bfs = time.perf_counter()
             bounds.escalate(seeds_h, seeds_v)
             bfs_s = time.perf_counter() - t_bfs
             counters.observe("route.escalation_bfs_s", bfs_s)
             cur_heur = bounds.exact
             counters.inc("route.heur_escalations")
+            counters.inc("route.escalation_discarded_pops", discarded)
             if stats is not None:
                 stats.escalations += 1
             heap = []
@@ -808,6 +832,7 @@ def route_connection(
             "bound": list(bound) if bound else None,
             "cost": list(final_cost) if final_cost else None,
             "escalated": escalated,
+            "discarded_pops": discarded,
             "found": found,
             "area": (fx2 - fx1 + 1) * (fy2 - fy1 + 1),
             "unbounded": escalated,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from ..core.geometry import Point
-from ..core.netlist import Module, TermType
+from ..core.netlist import Module, NetlistError, TermType
 
 TermSpec = tuple[str, str, int, int]  # (name, type, x, y)
 
@@ -230,5 +230,5 @@ def instantiate(template: str, instance: str) -> Module:
     try:
         factory = TEMPLATES[template]
     except KeyError:
-        raise KeyError(f"unknown template {template!r}") from None
+        raise NetlistError(f"unknown template {template!r}") from None
     return factory(instance)

@@ -90,6 +90,16 @@ class TestErrorHandling:
         assert rc == 2
         assert "magic" in capsys.readouterr().err
 
+    def test_unknown_template_in_call_file_exit_2(self, network_files, capsys):
+        call = network_files["call"]
+        call.write_text(call.read_text() + "x9 flux_capacitor\n")
+        for main in (pablo_main, artwork_main):
+            rc = main(_net_args(network_files))
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot load network:")
+            assert "'flux_capacitor'" in err and "Traceback" not in err
+
     def test_quinto_missing_description_exit_2(self, tmp_path, capsys):
         rc = quinto_main([str(tmp_path / "absent.desc")])
         assert rc == 2

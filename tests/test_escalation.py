@@ -1,9 +1,10 @@
 """Tests for the escalated search: the exact bend-distance BFS and the
 bound built on it.
 
-* identity gate — a workload whose connections escalate routes to the
-  same routes and the same search effort as the engine this one replaced,
-  and every connection still meets the reference optimum,
+* identity gate — a workload whose connections escalate keeps every
+  connection at the reference optimum, with its search effort and routes
+  pinned: a start whose bound already says two or more bends escalates
+  before the first pop, any other start after the pop budget,
 * :func:`~repro.route.line_expansion.bend_distance` equals a brute-force
   0-1 BFS over ``(point, axis)`` states on random small planes,
 * the O(1) form of the escalated bound equals the full combination of the
@@ -14,6 +15,7 @@ import hashlib
 import json
 from collections import deque
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.geometry import Direction, Point, Rect
@@ -21,12 +23,16 @@ from repro.obs import counters
 from repro.place.pablo import PabloOptions, place_network
 from repro.route import RouterOptions, route_diagram
 from repro.route.line_expansion import (
+    _ESCALATE_AFTER,
+    _START_ESCALATION_MAX_CELLS,
     UNREACHED,
     CostOrder,
+    SearchStats,
     _Bounds,
     _unpack,
     bend_distance,
     goal_states,
+    route_connection,
 )
 from repro.route.plane import Plane
 from repro.route.reference import ReferenceSnapshot
@@ -53,15 +59,44 @@ class TestEscalationIdentityGate:
         assert report.nets_routed == report.nets_total == 40
         assert data.get("route.verified_connections") == 70
         assert data.get("route.verify_mismatch", 0) == 0
-        # Figures of the tuple-state engine this one replaced: any change
-        # in heap order, bound or escalation shows up here.
-        assert data.get("route.heur_escalations") == 19
-        assert data.get("route.expansions") == 14_604
-        assert _route_digest(diagram) == "0f938f1e1c08b12e"
+        # Any change in heap order, bound or escalation rule shows up
+        # here.  Escalating at the start picks other optimal routes than
+        # restarting after the budget did, so the digest is this rule's.
+        assert data.get("route.heur_escalations") == 46
+        assert data.get("route.expansions") == 9_502
+        assert _route_digest(diagram) == "ab5e7f5773f9beec"
         rows = report.search.connections
-        assert sum(1 for r in rows if r["escalated"]) == 19
+        assert sum(1 for r in rows if r["escalated"]) == 46
         assert all(r["bfs_s"] > 0 for r in rows if r["escalated"])
         assert all(r["bfs_s"] == 0 for r in rows if not r["escalated"])
+        # A start bound of two or more bends escalates before the first
+        # pop and discards nothing; a budget restart discards exactly the
+        # budget.
+        assert all(r["bound"][0] < 2 for r in rows if not r["escalated"])
+        at_start = [r for r in rows if r["escalated"] and r["bound"][0] >= 2]
+        restarts = [r for r in rows if r["escalated"] and r["bound"][0] < 2]
+        assert (len(at_start), len(restarts)) == (44, 2)
+        assert all(r["discarded_pops"] == 0 for r in at_start)
+        assert all(r["discarded_pops"] == _ESCALATE_AFTER for r in restarts)
+        assert all(r["discarded_pops"] == 0 for r in rows if not r["escalated"])
+        assert data.get("route.escalation_discarded_pops") == 2 * _ESCALATE_AFTER
+
+
+@pytest.mark.parametrize("size, at_start", [(32, True), (300, False)])
+def test_start_escalation_only_on_planes_with_cheap_bfs(size, at_start):
+    # Leaving (10, 10) to the left with the target up and to the right:
+    # the start bound says two bends.
+    plane = Plane(bounds=Rect(0, 0, size - 1, size - 1))
+    assert (len(plane.index.view("n").bend) <= _START_ESCALATION_MAX_CELLS) is at_start
+    stats = SearchStats()
+    result = route_connection(
+        plane, "n", Point(10, 10), [Direction.LEFT], [Point(20, 20)], stats=stats
+    )
+    assert result is not None and result.bends == 2
+    (row,) = stats.connections
+    assert row["bound"][0] == 2
+    assert row["escalated"] is at_start
+    assert row["discarded_pops"] == 0
 
 
 # -- random small planes ---------------------------------------------------

@@ -93,6 +93,60 @@ def collect(pool: WorkerPool, payloads: list[dict], timeout: float = 30.0) -> li
 
 # -- WorkerPool ------------------------------------------------------------
 
+#: A pool owner that, like the gateway, catches SIGTERM itself; it warms
+#: its one worker with a job and prints the worker's pid.
+_POOL_OWNER = """
+import signal, threading, time
+from repro.gateway import WorkerPool
+
+def echo(payload):
+    return {"status": "ok", "name": payload["name"]}
+
+signal.signal(signal.SIGTERM, lambda *_: None)
+pool = WorkerPool(1, worker=echo).start()
+done = threading.Event()
+pool.submit({"name": "warm"}, callback=lambda *_: done.set())
+done.wait(30)
+print(pool.health()["workers"][0]["pid"], flush=True)
+time.sleep(120)
+"""
+
+
+def _spawn_pool_owner() -> tuple[subprocess.Popen, int]:
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads process state from /proc")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    owner = subprocess.Popen(
+        [sys.executable, "-c", _POOL_OWNER], stdout=subprocess.PIPE, text=True, env=env
+    )
+    line = owner.stdout.readline()
+    assert line.strip().isdigit(), f"pool owner printed {line!r}"
+    return owner, int(line)
+
+
+def _wait_exited(pid: int, seconds: float) -> bool:
+    """Whether ``pid`` is gone (or a zombie nobody reaped) within ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                if f.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return True
+        except FileNotFoundError:
+            return True
+        time.sleep(0.05)
+    return False
+
+
+def _reap(owner: subprocess.Popen, pid: int) -> None:
+    for target in (owner.pid, pid):
+        try:
+            os.kill(target, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    owner.wait(timeout=10)
+    owner.stdout.close()
+
 
 class TestWorkerPool:
     def test_round_trip_and_ordering(self):
@@ -153,6 +207,23 @@ class TestWorkerPool:
         kinds = [e.get("type") for e in events]
         assert kinds == ["dispatched", "stage", "stage"]
         assert [e["stage"] for e in events[1:]] == ["alpha", "beta"]
+
+    def test_orphaned_worker_exits(self):
+        owner, pid = _spawn_pool_owner()
+        try:
+            owner.kill()  # SIGKILL: no shutdown path reaches the worker
+            owner.wait(timeout=10)
+            assert _wait_exited(pid, 5.0), f"orphaned worker {pid} still running"
+        finally:
+            _reap(owner, pid)
+
+    def test_worker_dies_on_sigterm_despite_parent_handler(self):
+        owner, pid = _spawn_pool_owner()
+        try:
+            os.kill(pid, signal.SIGTERM)
+            assert _wait_exited(pid, 5.0), f"worker {pid} survived SIGTERM"
+        finally:
+            _reap(owner, pid)
 
     def test_closed_pool_rejects_submits(self):
         pool = WorkerPool(1, worker=echo_worker)

@@ -1,7 +1,11 @@
 """Tests for gravity placement (generic), box/partition placement and
 terminal placement."""
 
+import hashlib
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.diagram import Diagram
 from repro.core.geometry import Point, Rect
@@ -9,10 +13,13 @@ from repro.core.netlist import Network, TermType
 from repro.core.validate import placement_violations
 from repro.place.box_place import place_partition
 from repro.place.boxes import form_boxes
-from repro.place.gravity import GravityItem, place_by_gravity
+from repro.place.gravity import GravityItem, _nearest_free_position, place_by_gravity
 from repro.place.module_place import place_box
+from repro.place.pablo import PabloOptions, place_network
 from repro.place.terminal_place import place_terminals
-from repro.workloads.examples import example2_controller
+from repro.workloads import datapath_network
+from repro.workloads.examples import example1_string, example2_controller
+from repro.workloads.life import life_network
 from repro.workloads.stdlib import instantiate
 
 
@@ -81,6 +88,128 @@ class TestPlaceByGravity:
             place_by_gravity(
                 [GravityItem("a", 1, 1)], preplaced={"ghost": Point(0, 0)}
             )
+
+
+# -- nearest free position vs the ring-probe oracle ----------------------
+
+
+def _oracle_feasible(pos, item, placed_rects, spacing):
+    candidate = Rect(
+        pos.x - spacing, pos.y - spacing, item.width + 2 * spacing, item.height + 2 * spacing
+    )
+    return not any(candidate.overlaps(r) for r in placed_rects)
+
+
+def _oracle_ring(center, radius):
+    x, y = center
+    for dx in range(-radius, radius + 1):
+        yield Point(x + dx, y + radius)
+        yield Point(x + dx, y - radius)
+    for dy in range(-radius + 1, radius):
+        yield Point(x + radius, y + dy)
+        yield Point(x - radius, y + dy)
+
+
+def _oracle_nearest_free_position(ideal, item, placed_rects, spacing):
+    """Probe every point of growing Chebyshev rings against every placed
+    rect; the first feasible point at the least distance wins."""
+    if _oracle_feasible(ideal, item, placed_rects, spacing):
+        return ideal
+    extent = sum(
+        max(r.w, r.h) + max(item.width, item.height) + spacing + 2 for r in placed_rects
+    )
+    for radius in range(1, max(extent, 8) + 1):
+        best = best_d = None
+        for p in _oracle_ring(ideal, radius):
+            if _oracle_feasible(p, item, placed_rects, spacing):
+                d = (p.x - ideal.x) ** 2 + (p.y - ideal.y) ** 2
+                if best_d is None or d < best_d:
+                    best, best_d = p, d
+        if best is not None:
+            return best
+    raise AssertionError("oracle found no free position")
+
+
+_coords = st.integers(-12, 12)
+_rect_st = st.builds(Rect, _coords, _coords, st.integers(0, 7), st.integers(0, 7))
+
+
+class TestNearestFreePosition:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(_rect_st, max_size=8),
+        st.integers(0, 6),
+        st.integers(0, 6),
+        st.integers(0, 3),
+        st.builds(Point, st.integers(-16, 16), st.integers(-16, 16)),
+    )
+    def test_matches_ring_probe_oracle(self, rects, w, h, spacing, ideal):
+        item = GravityItem("x", w, h)
+        assert _nearest_free_position(ideal, item, rects, spacing) == (
+            _oracle_nearest_free_position(ideal, item, rects, spacing)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_rect_st, min_size=1, max_size=6), st.integers(0, 3), st.data())
+    def test_matches_oracle_from_inside_an_obstacle(self, rects, spacing, data):
+        # Aim at a point of a placed rect, so the ideal itself is taken.
+        r = data.draw(st.sampled_from(rects))
+        ideal = Point(data.draw(st.integers(r.x, r.x2)), data.draw(st.integers(r.y, r.y2)))
+        item = GravityItem("x", data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)))
+        assert _nearest_free_position(ideal, item, rects, spacing) == (
+            _oracle_nearest_free_position(ideal, item, rects, spacing)
+        )
+
+    def test_ties_follow_ring_scan_order(self):
+        # A point item: Rect(-1, -1, 2, 2) forbids only (0, 0).  Of the
+        # four ring-1 points at distance 1, the top row comes first.
+        item = GravityItem("x", 0, 0)
+        taken = Rect(-1, -1, 2, 2)
+        assert _nearest_free_position(Point(0, 0), item, [taken], 0) == Point(0, 1)
+        # With (0, 1) and (0, -1) taken too, the side columns tie and the
+        # right one comes first.
+        rects = [taken, Rect(-1, 0, 2, 2), Rect(-1, -2, 2, 2)]
+        assert _nearest_free_position(Point(0, 0), item, rects, 0) == Point(1, 0)
+
+
+def _placement_hash(diagram) -> str:
+    canon = {
+        "m": {
+            name: [pm.position.x, pm.position.y, pm.rotation.name]
+            for name, pm in sorted(diagram.placements.items())
+        },
+        "t": {name: [p.x, p.y] for name, p in sorted(diagram.terminal_positions.items())},
+    }
+    return hashlib.sha256(json.dumps(canon, sort_keys=True).encode()).hexdigest()[:16]
+
+
+class TestPabloPlacementPins:
+    """Whole-PABLO placements pinned before the interval sweep replaced
+    the ring probe: a change to gravity placement that moves any module
+    or system terminal shows up here."""
+
+    @pytest.mark.parametrize(
+        "name, build, options, want",
+        [
+            ("example1", example1_string, PabloOptions(), "c7ff44e15d5a4259"),
+            ("example2", example2_controller, PabloOptions(), "f3d4c7a5126718b6"),
+            (
+                "datapath 2x3",
+                lambda: datapath_network(lanes=2, stages=3),
+                PabloOptions(),
+                "8c9bb77e5fe0123d",
+            ),
+            (
+                "LIFE -p7 -b5",
+                life_network,
+                PabloOptions(partition_size=7, box_size=5),
+                "f90ce7377c73443d",
+            ),
+        ],
+    )
+    def test_placement_hash(self, name, build, options, want):
+        diagram, _ = place_network(build(), options)
+        assert _placement_hash(diagram) == want, name
 
 
 class TestPartitionPlacement:

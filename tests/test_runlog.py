@@ -237,14 +237,23 @@ class TestInspectCli:
         search = result.run_record.extra["search"]
         escalated = [r for r in search["connections"] if r["escalated"]]
         assert escalated and all(r["bfs_s"] > 0 for r in escalated)
-        net = escalated[0]["net"]
+        # Budget restarts show the pops they threw away.
+        restarted = [r for r in escalated if r["discarded_pops"]]
+        assert restarted
+        net = restarted[0]["net"]
         assert search["nets"][net]["bfs_s"] > 0
+        discarded = search["nets"][net]["discarded_pops"]
+        assert discarded == sum(
+            r["discarded_pops"] for r in search["connections"] if r["net"] == net
+        )
         run_id = result.run_record.run_id
         assert inspect_main(["explain", run_id, "--runlog", str(runlog.path)]) == 0
-        assert "bfs_s" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "bfs_s" in out and "discarded" in out
         assert inspect_main(["explain", run_id, net, "--runlog", str(runlog.path)]) == 0
         out = capsys.readouterr().out
         assert "bfs_s" in out and "per-connection search detail" in out
+        assert f"discarded_pops  {discarded}\n" in out
 
     def test_record_writes_overlay_svg(self, tmp_path, network_files, registry):
         log = str(tmp_path / "runs.jsonl")

@@ -17,7 +17,7 @@ class TestStdlib:
         assert m.terminals  # every template has at least one terminal
 
     def test_unknown_template(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(NetlistError, match="flux_capacitor"):
             instantiate("flux_capacitor", "x")
 
     def test_make_module_validates(self):
