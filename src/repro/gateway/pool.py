@@ -1,18 +1,18 @@
 """Persistent worker pool: fork once, keep imports and caches warm.
 
-``BENCH_service.json`` showed the per-batch :class:`ProcessPoolExecutor`
-does not scale — pool spin-up and per-job pickling dominate sub-30ms
-jobs (42.5 jobs/s at 1 worker vs 38.3 at 4).  :class:`WorkerPool` fixes
-the structural half of that: worker processes are forked **once** (so
-the ``repro`` imports, module library and interned geometry all arrive
-warm via copy-on-write), live for the pool's lifetime, and take jobs
-one at a time from per-worker inboxes under parent-side dispatch.
+:class:`WorkerPool` is the system's one way to run jobs in parallel.
+Worker processes are forked **once** (so the ``repro`` imports, module
+library and interned geometry all arrive warm via copy-on-write), live
+for the pool's lifetime, and take jobs one at a time from per-worker
+inboxes under parent-side dispatch.  Pool spin-up and per-job pickling
+dominate sub-30ms jobs, so a long-lived pool amortises the fork over
+many batches; a batch that starts its own pool pays it once.
 
 Parent-side, one-at-a-time dispatch buys exact failure attribution: the
 parent always knows which job a dead worker was holding, so a crashed
 worker (segfault, ``os._exit``, OOM kill) is replaced with a fresh fork
-and its job is retried once — no poisoned-pool collateral like the
-executor rounds had.  Per-job timeouts are enforced inside the worker
+and its job is retried once — a crash never takes sibling jobs down
+with it.  Per-job timeouts are enforced inside the worker
 via ``SIGALRM`` (:func:`repro.service.scheduler.run_with_timeout`) with
 a parent-side hard kill as the backstop for workers stuck outside the
 interpreter.  Results travel over **per-worker pipes** — one writer per
@@ -37,7 +37,8 @@ worker clamps its ``SIGALRM`` budget to the remaining time, so a
 client's patience bounds the compute spent on its behalf end to end.
 
 The pool is consumer-agnostic: :class:`~repro.service.scheduler.
-BatchScheduler` borrows it for ``artwork-batch --keep-warm``, and the
+BatchScheduler` runs every non-serial batch on one (borrowed for
+``artwork-batch --keep-warm``, otherwise its own), and the
 ``artwork-serve`` gateway (:mod:`repro.gateway.server`) drives it from
 an asyncio loop via the completion callbacks (which fire on the pool's
 collector thread — hop loops before touching loop state).
@@ -543,7 +544,8 @@ class WorkerPool:
                 except OSError:  # a conn was closed mid-wait by a reaper
                     ready = []
             else:
-                time.sleep(self.poll_interval)
+                # Wakes at once on close(), which waits for this thread.
+                self._stopped.wait(self.poll_interval)
                 ready = []
             for conn in ready:
                 self._pump(conn)

@@ -16,8 +16,7 @@ serves, so daemon traffic shows up alongside batch and bench runs —
 * ``flame``   — render a run's shipped profile windows as a standalone
   flamegraph HTML page,
 * ``explain`` — the router's search introspection for one net: pops vs.
-  the initial bound estimate, escalations and their BFS time, footprint
-  area, and any parallel-wave conflicts/rollbacks that involved it,
+  the initial bound estimate, escalations and their BFS time,
 * ``diff``    — metric deltas between two runs,
 * ``report``  — self-contained HTML diagnostics report for a run,
 * ``regress`` — compare the latest (or freshly captured) run per workload
@@ -292,7 +291,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                 "bound_est": agg.get("bound_est", 0),
                 "escalations": agg.get("escalations", 0),
                 "discarded": agg.get("discarded_pops", 0),
-                "area": agg.get("area", 0),
                 "seconds": f"{agg.get('seconds', 0.0):.4f}",
                 "bfs_s": f"{agg.get('bfs_s', 0.0):.4f}",
                 "outcome": agg.get("outcome", "?"),
@@ -318,7 +316,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         )
     print(f"net {args.net} ({record.run_id}/{record.name}): {agg.get('outcome', '?')}")
     for key in ("connections", "pops", "pruned", "bound_est",
-                "escalations", "discarded_pops", "failures", "area"):
+                "escalations", "discarded_pops", "failures"):
         print(f"  {key:<16}{agg.get(key, 0)}")
     print(f"  {'seconds':<16}{agg.get('seconds', 0.0):.4f}")
     print(f"  {'bfs_s':<16}{agg.get('bfs_s', 0.0):.4f}")
@@ -349,17 +347,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             "\n(no per-connection rows persisted for this net — only the "
             f"top {len(search.get('connections') or [])} by pops are kept)"
         )
-    events = [
-        e for e in (search.get("parallel") or []) if e.get("net") == args.net
-    ]
-    if events:
-        print("\nparallel-wave events:")
-        for event in events:
-            rollback = " (rolled back committed paths)" if event.get("rollback") else ""
-            print(
-                f"  wave {event.get('wave', '?')}: {event.get('outcome', '?')} — "
-                f"{event.get('cause', '?')}{rollback}"
-            )
     return 0
 
 

@@ -260,7 +260,6 @@ def _search_section(record: RunRecord) -> str:
         f"<td>{agg.get('pops', 0)}</td>"
         f"<td>{agg.get('bound_est', 0)}</td>"
         f"<td>{agg.get('escalations', 0)}</td>"
-        f"<td>{agg.get('area', 0)}</td>"
         f"<td>{agg.get('seconds', 0.0):.4f}</td>"
         f'<td class="key">{_esc(agg.get("outcome", "routed"))}</td></tr>'
         for net, agg in ordered[:40]
@@ -268,7 +267,7 @@ def _search_section(record: RunRecord) -> str:
     parts = [
         '<table><tr><th class="key">net</th><th>connections</th>'
         "<th>pops</th><th>bound est.</th><th>escalations</th>"
-        "<th>footprint area</th><th>seconds</th>"
+        "<th>seconds</th>"
         f'<th class="key">outcome</th></tr>{rows}</table>'
     ]
     if len(ordered) > 40:
@@ -287,21 +286,6 @@ def _search_section(record: RunRecord) -> str:
             "per connection — 1.0 means the bound was exact):</p>"
             '<table><tr><th class="key">tightness</th><th>connections</th>'
             f"</tr>{trows}</table>"
-        )
-    parallel = search.get("parallel", [])
-    if parallel:
-        prows = "\n".join(
-            f'<tr><td class="key">{_esc(ev.get("net", "?"))}</td>'
-            f"<td>{_esc(ev.get('wave', '?'))}</td>"
-            f'<td class="key">{_esc(ev.get("outcome", "?"))}</td>'
-            f'<td class="key">{_esc(ev.get("cause", "—"))}</td></tr>'
-            for ev in parallel[:40]
-        )
-        parts.append(
-            "<p>speculative-wave outcomes (conflicts/rollbacks only):</p>"
-            '<table><tr><th class="key">net</th><th>wave</th>'
-            '<th class="key">outcome</th><th class="key">cause</th></tr>'
-            f"{prows}</table>"
         )
     return "".join(parts)
 

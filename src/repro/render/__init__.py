@@ -2,6 +2,5 @@
 
 from .ascii_art import render_ascii
 from .svg import render_svg, save_svg
-from .report import Report
 
-__all__ = ["render_ascii", "render_svg", "save_svg", "Report"]
+__all__ = ["render_ascii", "render_svg", "save_svg"]

@@ -39,10 +39,9 @@ The index keeps *global* aggregates over all nets:
 
 A :class:`NetView` is the routers' per-connection window: one C-level
 slice copy of each column, patched at the net's own points and its
-``allow``/``extra_hard`` exceptions ("all minus own net", O(own net)
-Python work), plus the per-line obstacle stop lists, which are the
-index's cached sorted lists on every line holding none of the net's
-exemptions.
+``allow`` exceptions ("all minus own net", O(own net) Python work), plus
+the per-line obstacle stop lists, which are the index's cached sorted
+lists on every line holding none of the net's exemptions.
 
 Invariants (checked by ``tests/test_route_index.py`` against a
 rebuilt-from-scratch reference):
@@ -247,35 +246,6 @@ class PlaneIndex:
                 vb = 1 if vertical in oris else 0
                 new = (hb, vb, vb, hb)
             self._apply(net, cmap, p, new)
-
-    def remove_net(self, net: str) -> None:
-        """Unwind every contribution of ``net`` in O(own net), leaving
-        the index identical to one rebuilt from scratch off a plane that
-        never saw the net (the speculative-rollback requirement)."""
-        cmap = self.contrib.pop(net, None)
-        if not cmap:
-            return
-        for p, old in cmap.items():
-            self._apply_delta(p, old)
-            n = self.occ[p] - 1
-            if n:
-                self.occ[p] = n
-            else:
-                del self.occ[p]
-                i = self.at(p.x, p.y)
-                if i is not None:
-                    self.bend[i] = 1
-
-    def _apply_delta(self, p: Point, old: tuple[int, int, int, int]) -> None:
-        """Subtract a contribution tuple from the per-point aggregates."""
-        if old[0]:
-            self._block_change(self.h_block, p, -old[0], self._row_add, self._row_maybe_remove)
-        if old[1]:
-            self._block_change(self.v_block, p, -old[1], self._col_add, self._col_maybe_remove)
-        if old[2]:
-            self._cross_h_change(p, -old[2])
-        if old[3]:
-            self._cross_v_change(p, -old[3])
 
     def rebuild(self) -> None:
         """Ingest a pre-populated plane (dataclass construction with
@@ -494,13 +464,8 @@ class PlaneIndex:
         O(net size) instead of a full ``usage`` scan."""
         return set(self.contrib.get(net, ()))
 
-    def view(
-        self,
-        net: str,
-        allow: frozenset[Point] = frozenset(),
-        extra_hard: frozenset[Point] = frozenset(),
-    ) -> "NetView":
-        return NetView(self, net, allow, extra_hard)
+    def view(self, net: str, allow: frozenset[Point] = frozenset()) -> "NetView":
+        return NetView(self, net, allow)
 
 
 class NetView:
@@ -515,7 +480,6 @@ class NetView:
         "x2",
         "y2",
         "allow",
-        "extra_hard",
         "own",
         "pass_h",
         "pass_v",
@@ -528,20 +492,13 @@ class NetView:
         "_stop_cols",
     )
 
-    def __init__(
-        self,
-        index: PlaneIndex,
-        net: str,
-        allow: frozenset[Point],
-        extra_hard: frozenset[Point] = frozenset(),
-    ) -> None:
+    def __init__(self, index: PlaneIndex, net: str, allow: frozenset[Point]) -> None:
         plane = index.plane
         blocked, claims = plane.blocked, plane.claims
         self.index = index
         self.net = net
         self.x1, self.y1, self.x2, self.y2 = index.x1, index.y1, index.x2, index.y2
         self.allow = allow
-        self.extra_hard = extra_hard
         own = self.own = index.contrib.get(net) or {}
         self.pass_h = pass_h = index.pass_h[:]
         self.pass_v = pass_v = index.pass_v[:]
@@ -561,12 +518,12 @@ class NetView:
         # The exceptions, and own points that are also blocked or claimed
         # (terminals), take the general rule; plain own wire is open
         # along an axis exactly where only this net blocks it.
-        special = allow | extra_hard | {p for p in own if p in blocked or p in claims}
+        special = allow | {p for p in own if p in blocked or p in claims}
         for p in special:
             x, y = p
             c = own.get(p, _ZERO)
             static = p in blocked or p in claims
-            hard = p in extra_hard or (static and p not in allow)
+            hard = static and p not in allow
             hb = h_block.get(p, 0)
             vb = v_block.get(p, 0)
             open_h = not hard and hb == c[0]
@@ -640,8 +597,6 @@ class NetView:
     # -- the interval engine, the zero-length check and tests) -----------
 
     def hard_at(self, q: Point) -> bool:
-        if q in self.extra_hard:
-            return True
         plane = self.index.plane
         return (q in plane.blocked or q in plane.claims) and q not in self.allow
 

@@ -83,14 +83,6 @@ class RouteResult:
     crossings: int
     length: int
     states_expanded: int = 0
-    #: Inclusive (x1, y1, x2, y2) hull of every plane point the search
-    #: read — expanded states inflated by one (push-time neighbor and
-    #: heuristic probes) unioned with the start and target boxes.  A
-    #: foreign wire added strictly outside this hull cannot have changed
-    #: the result, which is what speculative parallel routing checks
-    #: before committing.  ``None`` means unbounded (the escalated BFS
-    #: bound reads the whole reachable plane).
-    footprint: tuple[int, int, int, int] | None = None
 
 
 #: Per-connection telemetry rows kept on one :class:`SearchStats` —
@@ -111,8 +103,7 @@ class SearchStats:
     #: Connections that escalated to the exact BFS bend-distance bound.
     escalations: int = 0
     #: Per-connection introspection rows ("why was this net slow") —
-    #: pops vs the initial bound estimate, escalation, footprint area,
-    #: final cost.  Bounded by :data:`MAX_CONNECTION_ROWS`.
+    #: pops vs the initial bound estimate, escalation, final cost.  Bounded by :data:`MAX_CONNECTION_ROWS`.
     connections: list[dict] = field(default_factory=list)
 
     def record_connection(self, row: dict) -> None:
@@ -176,8 +167,7 @@ def bend_distance(
     level with one slice fill; each bendable swept point spawns the
     perpendicular axis at the next level, and a point swept once per axis
     implies its whole run is swept, so each (point, axis) is filled once.
-    The only relaxations are ignoring U-turn bans and ``extra_hard``
-    points missing from the index's stop lists, both admissible.
+    The only relaxation is ignoring U-turn bans, which is admissible.
 
     Returns ``(dist_h, dist_v)`` indexed by flat point index, holding
     :data:`UNREACHED` where the seeds cannot be reached.
@@ -311,7 +301,6 @@ class _Bounds:
             lst.sort()
         t_rows_sorted = sorted(t_in_row)  # rows containing a target
         t_cols_sorted = sorted(t_in_col)  # columns containing a target
-        self.box = (tx1, ty1, tx2, ty2)
 
         # -- crossover-aware bound plumbing -----------------------------
         # The index prices a straight run's crossings over all nets; the
@@ -605,7 +594,6 @@ def route_connection(
     targets: Mapping[Point, frozenset[Direction] | None] | Iterable[Point],
     *,
     allow: frozenset[Point] = frozenset(),
-    extra_hard: frozenset[Point] = frozenset(),
     cost_order: CostOrder = CostOrder.BENDS_CROSSINGS_LENGTH,
     stats: SearchStats | None = None,
 ) -> RouteResult | None:
@@ -619,10 +607,6 @@ def route_connection(
     are acceptable there (``None`` for any); a bare iterable of points
     accepts any arrival direction.
 
-    ``extra_hard`` adds caller-owned forbidden points on top of the
-    plane's own obstacles (speculative parallel routing passes the claim
-    points of concurrently routing nets here).
-
     Returns ``None`` when no connection exists — and only then.
     """
     if not isinstance(targets, Mapping):
@@ -630,7 +614,7 @@ def route_connection(
     if not targets:
         return None
     start_directions = list(start_directions)
-    view = plane.index.view(net, allow, extra_hard)
+    view = plane.index.view(net, allow)
     if start in targets:
         # Zero-length connection: legal only under the same acceptance
         # rule as the main loop — the target must carry no foreign wire
@@ -639,24 +623,16 @@ def route_connection(
         if (
             dirs is None or any(d in dirs for d in start_directions)
         ) and not view.foreign_at(start):
-            return RouteResult(
-                path=[start],
-                bends=0,
-                crossings=0,
-                length=0,
-                footprint=(start.x - 1, start.y - 1, start.x + 1, start.y + 1),
-            )
+            return RouteResult(path=[start], bends=0, crossings=0, length=0)
 
     index = plane.index
-    x0, y0, hbits = index.x0, index.y0, index.hbits
-    hmask = (1 << hbits) - 1
+    hbits = index.hbits
     bend, pass_h, pass_v = view.bend, view.pass_h, view.pass_v
     goal, seeds_h, seeds_v = goal_states(view, targets)
 
     crossings_first = cost_order is CostOrder.BENDS_CROSSINGS_LENGTH
     cross_unit, len_unit = (_MID, 1) if crossings_first else (1, _MID)
     bounds = _Bounds(view, targets, crossings_first)
-    tx1, ty1, tx2, ty2 = bounds.box
 
     # Per direction: the three legal successor moves in push order, as
     # (direction, flat step, pass column, crossing column, bend cost).
@@ -733,11 +709,6 @@ def route_connection(
     escalated = False
     discarded = 0
     bfs_s = 0.0
-    # Search-footprint hull: every read the search performs stays within
-    # the expanded states (plus one for push-time probes) and the
-    # start/target hull the heuristic ranges towards.
-    fx1, fy1 = min(sx, tx1), min(sy, ty1)
-    fx2, fy2 = max(sx, tx2), max(sy, ty2)
 
     while heap:
         if not escalated and expanded >= budget:
@@ -776,16 +747,6 @@ def route_connection(
             continue
         expanded += 1
         p = sid >> 2
-        px = (p >> hbits) + x0
-        py = (p & hmask) + y0
-        if px < fx1:
-            fx1 = px
-        elif px > fx2:
-            fx2 = px
-        if py < fy1:
-            fy1 = py
-        elif py > fy2:
-            fy2 = py
 
         if sid in goal and parents[sid] is not None:
             goal_state, goal_cost = sid, cost
@@ -834,8 +795,6 @@ def route_connection(
             "escalated": escalated,
             "discarded_pops": discarded,
             "found": found,
-            "area": (fx2 - fx1 + 1) * (fy2 - fy1 + 1),
-            "unbounded": escalated,
             "seconds": round(time.perf_counter() - t_search, 6),
             "bfs_s": round(bfs_s, 6),
         }
@@ -869,11 +828,6 @@ def route_connection(
         crossings=crossings,
         length=length,
         states_expanded=expanded,
-        footprint=(
-            None
-            if escalated
-            else (fx1 - 1, fy1 - 1, fx2 + 1, fy2 + 1)
-        ),
     )
 
 

@@ -118,13 +118,6 @@ def pablo_from_dict(data: dict) -> PabloOptions:
     return PabloOptions(**d)
 
 
-#: Router options that change how the work is *executed*, never what it
-#: produces: serialized for round-tripping but excluded from the job
-#: digest, so e.g. a ``parallel_nets`` run shares its cache entry with
-#: the serial run it is guaranteed to match.
-_EXECUTION_ONLY_OPTIONS = ("parallel_nets",)
-
-
 def router_to_dict(options: RouterOptions) -> dict:
     return {
         "claimpoints": options.claimpoints,
@@ -134,7 +127,6 @@ def router_to_dict(options: RouterOptions) -> dict:
         "retry_failed": options.retry_failed,
         "net_order": options.net_order,
         "engine": options.engine,
-        "parallel_nets": options.parallel_nets,
     }
 
 
@@ -145,6 +137,10 @@ def router_from_dict(data: dict) -> RouterOptions:
     # (only) unidirectional search.
     if d.pop("bidirectional", False):
         raise JobError("eureka option 'bidirectional' is no longer supported")
+    # Older specs also carry ``"parallel_nets"``.  Either value means the
+    # serial routes (the net waves it selected reproduced them exactly),
+    # and the key never entered the digest.
+    d.pop("parallel_nets", None)
     known = {f.name for f in fields(RouterOptions)}
     unknown = set(d) - known
     if unknown:
@@ -197,16 +193,13 @@ class JobSpec:
 
     @property
     def digest(self) -> str:
-        """Stable content address of the work (network + options, not name
-        or execution-strategy options that cannot change the output)."""
-        eureka = router_to_dict(self.eureka)
-        for key in _EXECUTION_ONLY_OPTIONS:
-            eureka.pop(key, None)
+        """Stable content address of the work (network + options, not
+        name)."""
         blob = json.dumps(
             {
                 "network": json.loads(self.network_json),
                 "pablo": pablo_to_dict(self.pablo),
-                "eureka": eureka,
+                "eureka": router_to_dict(self.eureka),
             },
             sort_keys=True,
             separators=(",", ":"),

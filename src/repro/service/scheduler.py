@@ -1,4 +1,4 @@
-"""Batch scheduler: fan jobs across a process-pool worker fleet.
+"""Batch scheduler: fan jobs across a warm worker pool.
 
 The unit of work is :func:`execute_job` — a module-level (hence picklable)
 function that rebuilds the canonical network from a :class:`JobSpec`
@@ -6,15 +6,18 @@ payload, runs the full PABLO→EUREKA pipeline and returns a plain-dict
 result (ESCHER text + metrics + timing), which is also exactly what the
 :class:`~repro.service.cache.ResultCache` persists.
 
-The scheduler guarantees:
+A batch runs one of two ways: serially in the parent when a probe job
+proves cheaper than a process spawn, otherwise on a
+:class:`~repro.gateway.pool.WorkerPool` (a borrowed warm one, or one
+started for the batch).  The scheduler guarantees:
 
 * **deterministic ordering** — outcomes come back in submission order
   whatever the completion order or worker count;
 * **per-job timeouts** — enforced *inside* the worker with ``SIGALRM``,
   so a slow job dies cleanly without poisoning the pool;
-* **retry-once on worker crash** — a job whose process died (segfault,
-  ``os._exit``, OOM kill) is resubmitted once on a fresh pool, because a
-  crash may be collateral damage from a sibling breaking the pool;
+* **retry-once on worker crash** — the pool replaces a worker whose
+  process died (segfault, ``os._exit``, OOM kill) and retries its job
+  once;
 * **progress streaming** — an optional callback fires as each job reaches
   its final outcome.
 """
@@ -22,11 +25,10 @@ The scheduler guarantees:
 from __future__ import annotations
 
 import os
+import queue
 import signal
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -196,7 +198,7 @@ def run_with_timeout(worker, timeout: float | None, payload: dict) -> dict:
 
 @dataclass
 class BatchScheduler:
-    """Fan a batch of :class:`JobSpec` s over a process pool.
+    """Fan a batch of :class:`JobSpec` s over a worker pool.
 
     ``worker`` must be a picklable module-level callable taking the job
     payload dict and returning a result dict — :func:`execute_job` unless
@@ -215,10 +217,10 @@ class BatchScheduler:
     #: land (the workers never touch the registry file themselves).
     runlog: RunLog | None = None
     #: A warm :class:`~repro.gateway.pool.WorkerPool` to dispatch on
-    #: instead of spinning up a fresh ``ProcessPoolExecutor`` per round.
-    #: The pool is *borrowed*: its worker/timeout/retry settings govern
-    #: execution and the caller owns its lifecycle (``artwork-batch
-    #: --keep-warm`` reuses one pool across manifests this way).
+    #: instead of starting one for the batch.  The pool is *borrowed*:
+    #: its worker/timeout/retry settings govern execution and the caller
+    #: owns its lifecycle (``artwork-batch --keep-warm`` reuses one pool
+    #: across manifests this way).
     pool: "WorkerPool | None" = None
     #: Jobs whose first (probe) execution finishes within this budget are
     #: presumed spawn-dominated and the whole batch runs serially in the
@@ -284,30 +286,10 @@ class BatchScheduler:
                 else:
                     pending.append(i)
 
-            attempt = 0
-            while pending:
-                attempt += 1
-                if self.pool is not None:
-                    crashed = self._run_round_pool(specs, pending, attempt, finish)
-                else:
-                    if attempt == 1:
-                        pending = self._serial_fast_path(specs, pending, finish)
-                        if not pending:
-                            break
-                    crashed = self._run_round(specs, pending, attempt, finish)
-                if not crashed or not self.retry_crashed or attempt >= 2:
-                    for i in crashed:
-                        finish(
-                            i,
-                            JobOutcome(
-                                specs[i],
-                                "crashed",
-                                attempts=attempt,
-                                error="worker process died",
-                            ),
-                        )
-                    break
-                pending = crashed  # one fresh-pool retry round
+            if self.pool is None:
+                pending = self._serial_fast_path(specs, pending, finish)
+            if pending:
+                self._run_on_pool(specs, pending, finish)
 
         assert all(o is not None for o in outcomes)
         return outcomes  # type: ignore[return-value]
@@ -383,57 +365,6 @@ class BatchScheduler:
                 },
             )
 
-    def _run_round(
-        self,
-        specs: Sequence[JobSpec],
-        indices: list[int],
-        attempt: int,
-        finish: Callable[[int, JobOutcome], None],
-    ) -> list[int]:
-        """Run one pool round; returns indices whose worker crashed."""
-        crashed: list[int] = []
-        workers = min(self.max_workers, len(indices))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures: dict[Future, int] = {
-                pool.submit(
-                    run_with_timeout, self.worker, self.timeout, specs[i].to_dict()
-                ): i
-                for i in indices
-            }
-            remaining = set(futures)
-            while remaining:
-                finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    i = futures[future]
-                    try:
-                        payload = future.result()
-                    except BrokenProcessPool:
-                        crashed.append(i)
-                        continue
-                    except Exception as exc:  # pool plumbing failure
-                        finish(
-                            i,
-                            JobOutcome(
-                                specs[i],
-                                "error",
-                                attempts=attempt,
-                                error=f"{type(exc).__name__}: {exc}",
-                            ),
-                        )
-                        continue
-                    finish(
-                        i,
-                        JobOutcome(
-                            specs[i],
-                            payload.get("status", "error"),
-                            payload,
-                            attempts=attempt,
-                            error=payload.get("error"),
-                        ),
-                    )
-        crashed.sort()
-        return crashed
-
     def _run_inline(self, payload: dict) -> dict:
         """Run one job in the parent process (the serial fast path).
 
@@ -498,50 +429,54 @@ class BatchScheduler:
             )
         return []
 
-    def _run_round_pool(
+    def _run_on_pool(
         self,
         specs: Sequence[JobSpec],
         indices: list[int],
-        attempt: int,
         finish: Callable[[int, JobOutcome], None],
-    ) -> list[int]:
-        """Dispatch one round on the borrowed persistent pool.
+    ) -> None:
+        """Run the jobs at ``indices`` on the borrowed pool, or on one
+        started for them and closed before returning.
 
-        The pool already owns crash-retry and timeout semantics (crashed
-        jobs come back as ``status: "crashed"`` payloads after its own
-        retry), so this round never reports crashes for re-dispatch.
+        The pool owns crash-retry and timeout semantics (a crashed job
+        comes back as a ``status: "crashed"`` payload after its one
+        retry).  Its callbacks fire on the pool's collector thread and
+        only hand results over; ``finish`` runs here as each job lands.
         """
-        results: dict[int, tuple[dict, int]] = {}
-        all_done = threading.Event()
-        lock = threading.Lock()
+        from ..gateway.pool import WorkerPool  # the gateway imports us
 
-        def make_callback(i: int) -> Callable[[dict, int], None]:
-            def callback(payload: dict, attempts: int) -> None:
-                with lock:
-                    results[i] = (payload, attempts)
-                    if len(results) == len(indices):
-                        all_done.set()
-
-            return callback
-
-        for i in indices:
-            if self.timeout is not None:
-                self.pool.submit(
-                    specs[i].to_dict(), timeout=self.timeout, callback=make_callback(i)
-                )
-            else:  # defer to the pool's own configured budget
-                self.pool.submit(specs[i].to_dict(), callback=make_callback(i))
-        all_done.wait()
-        for i in indices:  # deterministic submission order, as ever
-            payload, attempts = results[i]
-            finish(
-                i,
-                JobOutcome(
-                    specs[i],
-                    payload.get("status", "error"),
-                    payload,
-                    attempts=attempts,
-                    error=payload.get("error"),
-                ),
+        pool = self.pool
+        if pool is None:
+            pool = WorkerPool(
+                min(self.max_workers, len(indices)),
+                worker=self.worker,
+                timeout=self.timeout,
+                retry_crashed=self.retry_crashed,
             )
-        return []
+        # No timeout of our own defers to a borrowed pool's budget.
+        budget = {} if self.timeout is None else {"timeout": self.timeout}
+        landed: queue.Queue = queue.Queue()
+        try:
+            for i in indices:
+                pool.submit(
+                    specs[i].to_dict(),
+                    callback=lambda payload, attempts, i=i: landed.put(
+                        (i, payload, attempts)
+                    ),
+                    **budget,
+                )
+            for _ in indices:
+                i, payload, attempts = landed.get()
+                finish(
+                    i,
+                    JobOutcome(
+                        specs[i],
+                        payload.get("status", "error"),
+                        payload,
+                        attempts=attempts,
+                        error=payload.get("error"),
+                    ),
+                )
+        finally:
+            if pool is not self.pool:
+                pool.close(drain=False)

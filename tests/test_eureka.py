@@ -8,8 +8,15 @@ from repro.core.geometry import Point, Side
 from repro.core.metrics import diagram_metrics
 from repro.core.netlist import Network, TermType
 from repro.core.validate import check_diagram, connectivity_matches_netlist
+from repro.place.pablo import PabloOptions, place_network
 from repro.route.eureka import RouterOptions, route_diagram
 from repro.route.line_expansion import CostOrder
+from repro.workloads import (
+    datapath_network,
+    example1_string,
+    example2_controller,
+    random_network,
+)
 from repro.workloads.stdlib import instantiate, make_module
 
 
@@ -180,3 +187,25 @@ class TestOptions:
         )
         assert "n" in report.failed_nets
         assert report.retried_nets  # the retry pass ran and still failed
+
+
+WORKLOADS = {
+    "example1": example1_string,
+    "example2": example2_controller,
+    "random": lambda: random_network(modules=14, extra_nets=6, seed=7),
+    "datapath": lambda: datapath_network(lanes=2, stages=4),
+}
+
+
+class TestPostconditions:
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    @pytest.mark.parametrize(
+        "order", [CostOrder.BENDS_CROSSINGS_LENGTH, CostOrder.BENDS_LENGTH_CROSSINGS]
+    )
+    def test_routed_workload_is_valid(self, workload, order):
+        diagram, _ = place_network(WORKLOADS[workload](), PabloOptions())
+        report = route_diagram(diagram, RouterOptions(cost_order=order))
+        assert report.nets_routed + report.nets_failed == report.nets_total
+        check_diagram(diagram)
+        # Every fully routed net connects exactly its own pins.
+        assert connectivity_matches_netlist(diagram)

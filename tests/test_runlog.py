@@ -2,6 +2,7 @@
 gate and the ``artwork-inspect`` front end."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -365,6 +366,23 @@ class TestRegressCli:
         assert inspect_main(
             ["regress", "--baselines", baselines, "--runlog", str(log.path)]
         ) == 0
+
+    def test_committed_baselines_hold(self, tmp_path, capsys, registry):
+        # Every committed baseline workload, captured now, must match its
+        # quality figures exactly (tolerance 0); wall time gets a wide
+        # margin so a slow host cannot fail it.  A change that moves a
+        # baseline fails here, not only in CI's regression gate.
+        root = Path(__file__).resolve().parent.parent
+        baselines = root / "benchmarks" / "baselines"
+        rc = inspect_main(
+            ["regress", "--baselines", str(baselines), "--root", str(root),
+             "--runlog", str(tmp_path / "runs.jsonl"), "--capture",
+             "--time-tolerance", "50", "--time-floor", "30"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        count = len(list(baselines.glob("*.json")))
+        assert count and f"{count} workload(s) within tolerance" in captured.out
 
     def test_empty_baseline_dir_is_usage_error(self, tmp_path, capsys):
         empty = tmp_path / "none"

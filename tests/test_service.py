@@ -21,7 +21,7 @@ from repro.service import (
     network_from_dict,
     network_to_dict,
 )
-from repro.workloads import batch_networks, random_network
+from repro.workloads import batch_networks, example1_string, random_network
 from repro.workloads.stdlib import instantiate
 
 
@@ -125,6 +125,28 @@ class TestJobSpec:
         data["eureka"]["bidirectional"] = True
         with pytest.raises(JobError, match="bidirectional"):
             JobSpec.from_dict(data)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_legacy_parallel_nets_option(self, value):
+        # Specs and journals from before the speculative net waves were
+        # removed carry the flag; either value loads as the serial router
+        # (the waves reproduced its routes) under the same digest.
+        spec = JobSpec.from_network(random_network(modules=4, seed=0))
+        data = spec.to_dict()
+        data["eureka"]["parallel_nets"] = value
+        again = JobSpec.from_dict(data)
+        assert again == spec and again.digest == spec.digest
+
+    def test_digest_is_pinned(self):
+        # Result-cache entries and gateway journals are keyed on this
+        # digest; a change to it orphans every stored result.
+        spec = JobSpec.from_network(example1_string())
+        assert spec.digest == (
+            "be92b73053f9b54aa39fd075155ff1c4a884ce947d99f1c2143a99da6fd8e468"
+        )
+        assert JobSpec.from_network(random_network(modules=5, seed=1)).digest == (
+            "bfca695f4ce20b33a8ef852304d8b8c4ab520f27dc54e91a6618e3940c193ac0"
+        )
 
 
 class TestResultCache:
@@ -406,14 +428,17 @@ class TestPoolBackedScheduler:
         assert [o.spec.name for o in first] == [s.name for s in specs]
         assert pool.health()["completed"] == 5
 
-    def test_pool_results_match_executor_results(self, tmp_path):
+    def test_pool_results_match_serial_results(self, tmp_path):
         from repro.gateway import WorkerPool
 
         specs = specs_for(2, seed=60)
-        plain = BatchScheduler(max_workers=1, serial_threshold=None).run(specs)
+        inline = BatchScheduler(max_workers=1, serial_threshold=10.0)
+        serial = inline.run(specs)
+        assert inline.counters.snapshot()["counters"]["service.serial_fast_path"] == 1
         with WorkerPool(1) as pool:
             pooled = BatchScheduler(max_workers=1, pool=pool).run(specs)
-        assert [o.payload["escher"] for o in plain] == [
+        assert all(o.ok for o in serial + pooled)
+        assert [o.payload["escher"] for o in serial] == [
             o.payload["escher"] for o in pooled
         ]
 

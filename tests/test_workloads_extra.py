@@ -1,11 +1,9 @@
-"""Tests for the datapath scaling workload and the HTML report."""
+"""Tests for the datapath scaling workload."""
 
 import pytest
 
 from repro.core.generator import generate
 from repro.place.pablo import PabloOptions
-from repro.render.report import Report
-from repro.route.eureka import route_diagram
 from repro.workloads.datapath import datapath_network, datapath_sizes
 
 
@@ -49,28 +47,3 @@ class TestDatapath:
         )
         assert result.metrics.nets_failed == 0
 
-
-class TestReport:
-    def test_html_structure(self, two_buffer_diagram, tmp_path):
-        route_diagram(two_buffer_diagram)
-        report = Report("Demo report")
-        report.add("The pair", two_buffer_diagram, note="two buffers & <wires>")
-        html_text = report.to_html()
-        assert html_text.startswith("<!DOCTYPE html>")
-        assert "Demo report" in html_text
-        assert "<svg" in html_text
-        assert "two buffers &amp; &lt;wires&gt;" in html_text  # escaped note
-        assert "crossovers" in html_text  # the metrics table
-
-    def test_save(self, two_buffer_diagram, tmp_path):
-        report = Report("r")
-        report.add("s", two_buffer_diagram)
-        out = report.save(tmp_path / "sub" / "report.html")
-        assert out.exists()
-        assert out.read_text().startswith("<!DOCTYPE html>")
-
-    def test_multiple_sections(self, two_buffer_diagram):
-        report = Report("multi")
-        report.add("a", two_buffer_diagram)
-        report.add("b", two_buffer_diagram)
-        assert report.to_html().count("<section>") == 2
