@@ -83,7 +83,7 @@ class Editor:
         entry.inverse()
         return entry.description
 
-    def _record(self, description: str, inverse: Callable[[], None]) -> None:
+    def _push_undo(self, description: str, inverse: Callable[[], None]) -> None:
         self._undo_stack.append(_UndoEntry(description, inverse))
 
     # -- module commands --------------------------------------------------
@@ -115,7 +115,7 @@ class Editor:
             else:
                 self.diagram.placements[module] = previous
 
-        self._record(f"place {module} at ({x},{y})", inverse)
+        self._push_undo(f"place {module} at ({x},{y})", inverse)
 
     def move(self, module: str, dx: int, dy: int) -> None:
         pm = self._placed(module)
@@ -149,7 +149,7 @@ class Editor:
             else:
                 self.diagram.terminal_positions[terminal] = previous
 
-        self._record(f"place terminal {terminal} at ({x},{y})", inverse)
+        self._push_undo(f"place terminal {terminal} at ({x},{y})", inverse)
 
     # -- wire commands -----------------------------------------------------
 
@@ -181,7 +181,7 @@ class Editor:
                 if not r.paths:
                     del self.diagram.routes[net]
 
-        self._record(f"draw wire on {net} ({len(path)} points)", inverse)
+        self._push_undo(f"draw wire on {net} ({len(path)} points)", inverse)
 
     def erase_net(self, net: str) -> None:
         """Remove a net's drawn geometry (for manual rip-up)."""
@@ -192,7 +192,7 @@ class Editor:
         def inverse() -> None:
             self.diagram.routes[net] = route
 
-        self._record(f"erase net {net}", inverse)
+        self._push_undo(f"erase net {net}", inverse)
 
     # -- invoking the tools (figure 3.1 arcs) ------------------------------
 
@@ -211,7 +211,7 @@ class Editor:
         def inverse() -> None:
             self.diagram = previous
 
-        self._record("invoke placement", inverse)
+        self._push_undo("invoke placement", inverse)
 
     def invoke_routing(self, options: RouterOptions | None = None) -> list[str]:
         """Run EUREKA on the unrouted nets; returns the unroutable ones."""
@@ -230,7 +230,7 @@ class Editor:
                 for path in paths:
                     route.add_path(path)
 
-        self._record("invoke routing", inverse)
+        self._push_undo("invoke routing", inverse)
         return report.failed_nets
 
     def invoke_simulator(self, behaviors, **inputs: int) -> dict[str, int]:

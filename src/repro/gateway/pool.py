@@ -62,7 +62,7 @@ from ..faults import CRASH_EXIT_CODE, get_faults
 from ..obs.counters import get_registry
 from ..obs.sampler import ensure_sampler, label_thread, set_sampler
 from ..obs.trace import TraceContext, set_trace_context
-from ..service.scheduler import execute_job, run_with_timeout
+from ..service.scheduler import execute_job, failed_payload, run_with_timeout
 
 #: Sentinel for "use the pool's default timeout" in :meth:`WorkerPool.submit`.
 _DEFAULT = object()
@@ -185,17 +185,6 @@ class CircuitBreaker:
         }
 
 
-def _error_payload(payload: dict, status: str, error: str) -> dict:
-    return {
-        "status": status,
-        "name": payload.get("name", "?"),
-        "error": error,
-        "metrics": {},
-        "timing": {},
-        "seconds": 0.0,
-    }
-
-
 def _worker_main(inbox, results, worker, wants_progress, parent_pid) -> None:
     """Child process body: pull one job at a time until the sentinel.
 
@@ -251,7 +240,7 @@ def _worker_main(inbox, results, worker, wants_progress, parent_pid) -> None:
             if remaining <= 0.0:
                 if not post((
                     _MSG_DONE, ticket, pid,
-                    _error_payload(payload, "cancelled", "deadline expired before execution"),
+                    failed_payload(payload, "cancelled", "deadline expired before execution"),
                 )):
                     break
                 continue
@@ -276,7 +265,7 @@ def _worker_main(inbox, results, worker, wants_progress, parent_pid) -> None:
             get_faults().fire("worker.exec")
             result = run_with_timeout(fn, timeout, payload)
         except Exception as exc:  # noqa: BLE001 - the loop must survive bad workers
-            result = _error_payload(payload, "error", f"{type(exc).__name__}: {exc}")
+            result = failed_payload(payload, "error", f"{type(exc).__name__}: {exc}")
         finally:
             set_trace_context(previous)
         # "pool.ipc" failpoint: crash = die after doing the work (the
@@ -492,7 +481,7 @@ class WorkerPool:
         get_registry().inc("pool.deadline_cancelled")
         self._deliver_locked(
             ticket,
-            _error_payload(ticket.payload, "cancelled", "deadline expired before dispatch"),
+            failed_payload(ticket.payload, "cancelled", "deadline expired before dispatch"),
         )
         return True
 
@@ -728,7 +717,7 @@ class WorkerPool:
                     if timed_out and budget is not None
                     else "worker process died"
                 )
-                self._deliver_locked(ticket, _error_payload(ticket.payload, status, error))
+                self._deliver_locked(ticket, failed_payload(ticket.payload, status, error))
             self._dispatch_locked()
             self._idle_changed.notify_all()
 
@@ -830,7 +819,7 @@ class WorkerPool:
             # Anything still pending after the grace period is cancelled.
             for ticket in list(self._inflight.values()):
                 self._deliver_locked(
-                    ticket, _error_payload(ticket.payload, "cancelled", "pool closed")
+                    ticket, failed_payload(ticket.payload, "cancelled", "pool closed")
                 )
             self._backlog.clear()
             workers = list(self._workers)

@@ -37,9 +37,10 @@ responses (WebSocket handshakes included), stamped on progress events,
 log lines and run records, and threaded through the worker pool so the
 spans a worker ships back re-parent under the request's root span.
 
-Completed jobs are folded into the obs registry exactly like the batch
-scheduler does (worker counters merged, ``service.job_wall_s``
-observed) and each served job appends a ``kind="serve"`` RunRecord so
+Completed jobs finish through the batch scheduler's own completion
+path, :func:`~repro.service.scheduler.record_job` (worker counters
+merged, ``service.job_wall_s`` observed, ``ok`` results cached), which
+appends one ``kind="serve"`` RunRecord per served job so
 ``artwork-inspect`` reports and regression gates cover service traffic.
 On SIGTERM the CLI drains: submissions get 503, in-flight jobs finish
 (bounded by ``drain_grace``), workers retire, then the loop exits.
@@ -54,7 +55,6 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .. import __version__
 from ..core.netlist import NetlistError
@@ -81,7 +81,7 @@ from ..obs.window import WINDOWS, RollingWindow
 from ..render.svg import render_svg
 from ..service.cache import ResultCache
 from ..service.jobs import JobError, JobSpec
-from ..service.scheduler import BatchScheduler
+from ..service.scheduler import record_job
 from .auth import TokenAuth
 from .journal import JobJournal
 from .pool import PoolClosedError, WorkerPool
@@ -133,15 +133,6 @@ def _retry_after(seconds: float) -> str:
     long to exist — and never below 1."""
     jittered = seconds + _retry_rng.uniform(0.0, seconds * 0.5 + 1.0)
     return str(max(1, round(jittered)))
-
-
-def _walk_span_dicts(roots: list) -> Iterator[dict]:
-    """Depth-first walk over serialized span-tree dicts."""
-    stack = [r for r in roots if isinstance(r, dict)]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(c for c in node.get("children", []) if isinstance(c, dict))
 
 
 @dataclass
@@ -285,7 +276,37 @@ class ServedJob:
                 body["error"] = payload["error"]
         return body
 
-    # -- the per-request span tree --------------------------------------
+    # -- where a finished job's time went --------------------------------
+
+    def worker_spans(self) -> list[Span]:
+        """The pipeline span forest the worker shipped with the result, on
+        the worker's private timebase."""
+        return [
+            Span.from_dict(d)
+            for d in (self.payload or {}).get("trace") or []
+            if isinstance(d, dict)
+        ]
+
+    def queue_exec_split(self) -> tuple[float, float]:
+        """``(queue_wait_s, worker_exec_s)`` of a finished job: its
+        ``submitted_at`` → ``finished_at`` span cut where the worker began
+        (at ``finished_at`` for a job that never reached a worker).
+
+        ``started_at`` is stamped when the event loop *notices* the
+        pool's dispatched marker, which can lag the worker's actual
+        start; if the shipped forest is wider than the observed exec
+        window, the cut moves back so the forest still ends by
+        ``finished_at`` (the hard wall-clock bound).  The trace tree, the
+        stage windows and slow exemplars all report this one split.
+        """
+        assert self.finished_at is not None
+        exec_start = self.started_at if self.started_at is not None else self.finished_at
+        roots = self.worker_spans()
+        if roots:
+            extent = max(r.end for r in roots) - min(r.start for r in roots)
+            exec_start = min(exec_start, self.finished_at - extent)
+        exec_start = max(self.submitted_at, exec_start)
+        return exec_start - self.submitted_at, max(0.0, self.finished_at - exec_start)
 
     def trace_tree(self) -> Span | None:
         """The job's whole life as one span tree: the gateway request at
@@ -326,37 +347,18 @@ class ServedJob:
                 )
             )
             return root
-        exec_start = self.started_at if self.started_at is not None else self.finished_at
-        worker_roots = [
-            Span.from_dict(d)
-            for d in (self.payload or {}).get("trace") or []
-            if isinstance(d, dict)
-        ]
-        if worker_roots:
-            # ``started_at`` is stamped when the event loop *notices* the
-            # pool's dispatched marker, which can lag the worker's actual
-            # start; if the shipped forest is wider than the observed exec
-            # window, pull exec start back so the forest still ends by
-            # ``finished_at`` (the hard wall-clock bound).
-            extent = max(r.start + r.duration for r in worker_roots) - min(
-                r.start for r in worker_roots
-            )
-            exec_start = max(
-                self.submitted_at, min(exec_start, self.finished_at - extent)
-            )
+        queue_wait, worker_exec = self.queue_exec_split()
+        exec_start = self.submitted_at + queue_wait
         root.children.append(
-            Span(
-                name="queue.wait",
-                start=self.submitted_at,
-                duration=max(0.0, exec_start - self.submitted_at),
-            )
+            Span(name="queue.wait", start=self.submitted_at, duration=queue_wait)
         )
         exec_span = Span(
             name="worker.exec",
             start=exec_start,
-            duration=max(0.0, self.finished_at - exec_start),
+            duration=worker_exec,
             attrs={"attempts": self.attempts},
         )
+        worker_roots = self.worker_spans()
         if worker_roots:
             # One shift for the whole forest keeps the worker spans'
             # relative timing intact while anchoring them at exec start.
@@ -659,8 +661,7 @@ class ArtworkGateway:
             )
             ctx.timings["auth_s"] = time.perf_counter() - auth_started
             if not authorized:
-                self.registry.inc("gateway.auth_rejections")
-                get_registry().inc("gateway.auth_rejections")
+                self._inc("gateway.auth_rejections")
                 return _error(
                     401, "missing or invalid token",
                     **{"www-authenticate": 'Bearer realm="artwork-serve"'},
@@ -670,8 +671,7 @@ class ArtworkGateway:
             if self.config.rate_limit is not None and request.path != "/v1/stats":
                 wait = self.config.rate_limit.check(token or peer_host)
                 if wait > 0.0:
-                    self.registry.inc("gateway.rate_limited")
-                    get_registry().inc("gateway.rate_limited")
+                    self._inc("gateway.rate_limited")
                     return _error(
                         429, "rate limit exceeded",
                         **{"retry-after": _retry_after(wait)},
@@ -896,9 +896,16 @@ class ArtworkGateway:
         job.finished_at = time.time()
         if self._by_digest.get(job.digest) == job.id:
             del self._by_digest[job.digest]
-        self._record_job(job)  # cache first: the terminal journal record
-        # must only land after the result is durably cached, or a crash
-        # in between would lose a finished job.
+        # Cache first: the terminal journal record must only land after
+        # the result is durably cached, or a crash in between would lose
+        # a finished job.
+        record_job(
+            job.spec, payload, job.status,
+            from_cache=job.from_cache, attempts=attempts, kind="serve",
+            registries=(self.registry, get_registry()),
+            cache=self.config.cache, runlog=self.config.runlog,
+            extra={"job_id": job.id, "trace_id": job.trace_id},
+        )
         if self.config.journal is not None:
             self._journal_op(self.config.journal.done, job.id, job.status)
         self._finished_ids.append(job.id)
@@ -926,19 +933,15 @@ class ArtworkGateway:
         """Feed one finished job into the per-stage rolling windows."""
         if job.from_cache or job.finished_at is None:
             return
-        exec_start = job.started_at if job.started_at is not None else job.finished_at
+        queue_wait, worker_exec = job.queue_exec_split()
+        self.stage_windows.observe("queue.wait", queue_wait)
         self.stage_windows.observe(
-            "queue.wait", max(0.0, exec_start - job.submitted_at)
+            "worker.exec", worker_exec, error=job.status != "ok"
         )
-        self.stage_windows.observe(
-            "worker.exec",
-            max(0.0, job.finished_at - exec_start),
-            error=job.status != "ok",
-        )
-        for node in _walk_span_dicts((job.payload or {}).get("trace") or []):
-            name = node.get("name", "")
-            if name in STAGE_WINDOW_SPANS:
-                self.stage_windows.observe(name, float(node.get("duration", 0.0)))
+        for root in job.worker_spans():
+            for node in root.walk():
+                if node.name in STAGE_WINDOW_SPANS:
+                    self.stage_windows.observe(node.name, node.duration)
 
     def _maybe_record_slow(self, job: ServedJob, total: float) -> None:
         """Persist a ``kind="slow"`` exemplar when the job's end-to-end
@@ -947,19 +950,16 @@ class ArtworkGateway:
         threshold = self.config.slow_threshold
         if threshold is None or total < threshold:
             return
-        self.registry.inc("gateway.slow_requests")
-        get_registry().inc("gateway.slow_requests")
+        self._inc("gateway.slow_requests")
         if self.config.runlog is None:
             return
         payload = job.payload or {}
-        exec_start = job.started_at if job.started_at is not None else job.finished_at
+        queue_wait, worker_exec = job.queue_exec_split()
         breakdown = {
             "auth_s": round(float(job.gw_timings.get("auth_s", 0.0) or 0.0), 6),
             "parse_s": round(float(job.gw_timings.get("parse_s", 0.0) or 0.0), 6),
-            "queue_wait_s": round(max(0.0, (exec_start or 0.0) - job.submitted_at), 6),
-            "worker_exec_s": round(
-                max(0.0, (job.finished_at or 0.0) - (exec_start or 0.0)), 6
-            ),
+            "queue_wait_s": round(queue_wait, 6),
+            "worker_exec_s": round(worker_exec, 6),
             "total_s": round(total, 6),
         }
         root = job.trace_tree()
@@ -1001,78 +1001,6 @@ class ArtworkGateway:
                 "spans": [root.to_dict()] if root is not None else [],
             },
         )
-
-    def _record_job(self, job: ServedJob) -> None:
-        """Fold one finished job into obs state, the result cache and the
-        run registry — the daemon twin of ``BatchScheduler._record``."""
-        payload = job.payload or {}
-        wall = float(payload.get("seconds", 0.0) or 0.0)
-        for reg in (self.registry, get_registry()):
-            reg.inc("service.jobs")
-            reg.inc(f"service.status.{job.status}")
-            reg.inc("service.cache_hits" if job.from_cache else "service.cache_misses")
-            if not job.from_cache:
-                reg.observe("service.job_wall_s", wall)
-        worker_counters = payload.get("counters")
-        if worker_counters and not job.from_cache:
-            self.registry.merge(worker_counters)
-            get_registry().merge(worker_counters)
-        if (
-            self.config.cache is not None
-            and job.status == "ok"
-            and not job.from_cache
-        ):
-            try:
-                self.config.cache.put(
-                    job.spec,
-                    {
-                        k: v
-                        for k, v in payload.items()
-                        if k not in BatchScheduler.TRANSIENT_KEYS
-                    },
-                )
-            except OSError as exc:
-                # A full/broken disk costs the cache entry, not the job.
-                self._inc("gateway.cache_errors")
-                self.log.warning(
-                    "cache write failed",
-                    extra={"fields": {"job": job.id, "error": str(exc)}},
-                )
-        if self.config.runlog is not None:
-            self.config.runlog.record(
-                kind="serve",
-                name=job.spec.name,
-                wall_seconds=wall,
-                spec_digest=job.digest,
-                stages=stages_from_spans(payload.get("trace") or []),
-                counters=worker_counters or {"counters": {}, "histograms": {}},
-                metrics=dict(payload.get("metrics", {}) or {}),
-                failures={
-                    net: {"reason": reason}
-                    for net, reason in (payload.get("failure_reasons") or {}).items()
-                },
-                congestion=dict(payload.get("congestion", {}) or {}),
-                profile="",
-                profile_windows=list(payload.get("profile") or []),
-                extra={
-                    "status": job.status,
-                    "from_cache": job.from_cache,
-                    "attempts": job.attempts,
-                    "job_id": job.id,
-                    "trace_id": job.trace_id,
-                    **(
-                        {"search": payload["search"]}
-                        if payload.get("search") else {}
-                    ),
-                },
-            )
-        if job.status != "ok":
-            self.log.warning(
-                "served job did not finish ok",
-                extra={"fields": {"job": job.spec.name, "id": job.id,
-                                  "status": job.status,
-                                  "error": payload.get("error", "")}},
-            )
 
     # -- job queries -----------------------------------------------------
 
@@ -1164,8 +1092,7 @@ class ArtworkGateway:
             await writer.drain()
         except ProtocolError as exc:
             return _error(exc.status, str(exc))
-        self.registry.inc("gateway.ws_connections")
-        get_registry().inc("gateway.ws_connections")
+        self._inc("gateway.ws_connections")
 
         queue: asyncio.Queue = asyncio.Queue()
         job.subscribers.add(queue)
@@ -1382,7 +1309,7 @@ class ArtworkGateway:
                     "gateway.deadline_rejections",
                     "gateway.journal_errors",
                     "gateway.journal_replayed",
-                    "gateway.cache_errors",
+                    "service.cache_errors",
                     "gateway.ws_connections",
                     "service.jobs",
                     "service.cache_hits",

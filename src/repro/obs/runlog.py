@@ -19,6 +19,7 @@ round-trip losslessly through :meth:`RunRecord.to_dict`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -45,11 +46,24 @@ QUALITY_METRICS = ("bends", "crossovers", "failed")
 
 
 def git_rev(cwd: str | Path | None = None) -> str:
-    """Short git revision of the working tree, or ``"unknown"``."""
+    """Short git revision of the working tree, or ``"unknown"``.
+
+    Asked once per process and directory: a running process keeps
+    executing the code of the revision it started on.
+    """
+    try:
+        where = os.path.abspath(os.getcwd() if cwd is None else cwd)
+    except OSError:
+        return "unknown"
+    return _git_rev_at(where)
+
+
+@functools.lru_cache(maxsize=None)
+def _git_rev_at(where: str) -> str:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
-            cwd=cwd,
+            cwd=where,
             capture_output=True,
             text=True,
             timeout=5,

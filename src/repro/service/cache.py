@@ -110,7 +110,10 @@ class ResultCache:
             return None
         payload["escher"] = escher
         self.stats.hits += 1
-        os.utime(entry)  # refresh LRU clock
+        try:
+            os.utime(entry)  # refresh LRU clock
+        except OSError:
+            pass  # another process's trim got there first; the read stands
         return payload
 
     # -- write --------------------------------------------------------

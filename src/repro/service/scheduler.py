@@ -20,6 +20,10 @@ started for the batch).  The scheduler guarantees:
   once;
 * **progress streaming** — an optional callback fires as each job reaches
   its final outcome.
+
+Every finished job — batch or served by the ``artwork-serve`` gateway —
+goes through :func:`record_job`, and every job that made no diagram
+carries a :func:`failed_payload`.
 """
 
 from __future__ import annotations
@@ -72,6 +76,17 @@ class JobOutcome:
     attempts: int = 0
     error: str | None = None
 
+    @classmethod
+    def from_payload(
+        cls, spec: JobSpec, payload: dict, *, attempts: int = 0,
+        from_cache: bool = False,
+    ) -> "JobOutcome":
+        """The outcome a worker's (or the cache's) result dict describes."""
+        return cls(
+            spec, payload.get("status", "error"), payload,
+            from_cache=from_cache, attempts=attempts, error=payload.get("error"),
+        )
+
     @property
     def ok(self) -> bool:
         return self.status == "ok"
@@ -88,17 +103,34 @@ class JobOutcome:
     def failed_nets(self) -> list[str]:
         return list(self.payload.get("failed_nets", [])) if self.payload else []
 
-    @property
-    def failure_reasons(self) -> dict[str, str]:
-        """``{net: why}`` for the job's unroutable nets (may be empty for
-        payloads produced before reasons were recorded)."""
-        return dict(self.payload.get("failure_reasons", {})) if self.payload else {}
-
     def load_diagram(self) -> Diagram:
         """Rebuild the routed diagram from the ESCHER text in the payload."""
         if not self.payload or "escher" not in self.payload:
             raise ValueError(f"job {self.spec.name!r} has no diagram ({self.status})")
         return read_escher(self.payload["escher"], self.spec.build_network())
+
+
+#: Payload keys that describe *how* a run went, not *what* it made —
+#: merged into the parent's telemetry on arrival and kept out of the
+#: result cache (a warm hit must not replay the original run's spans,
+#: request trace id or profile windows).
+TRANSIENT_KEYS = ("trace", "counters", "trace_id", "profile")
+
+
+def failed_payload(
+    payload: dict, status: str, error: str, seconds: float = 0.0
+) -> dict:
+    """The result dict of a job that made no diagram: a pipeline
+    ``error``, a ``timeout``, a worker that ``crashed`` twice or a job
+    ``cancelled`` before it ran.  ``payload`` is the job's input."""
+    return {
+        "status": status,
+        "name": payload.get("name", "?"),
+        "error": error,
+        "metrics": {},
+        "timing": {},
+        "seconds": seconds,
+    }
 
 
 def execute_job(payload: dict, progress: Callable[[str], None] | None = None) -> dict:
@@ -157,14 +189,10 @@ def execute_job(payload: dict, progress: Callable[[str], None] | None = None) ->
             ),
         }
     except Exception as exc:  # noqa: BLE001 — worker must not die on bad jobs
-        return {
-            "status": "error",
-            "name": payload.get("name", "?"),
-            "error": f"{type(exc).__name__}: {exc}",
-            "metrics": {},
-            "timing": {},
-            "seconds": round(time.perf_counter() - started, 4),
-        }
+        return failed_payload(
+            payload, "error", f"{type(exc).__name__}: {exc}",
+            round(time.perf_counter() - started, 4),
+        )
     finally:
         set_tracer(previous_tracer)
         set_registry(previous_registry)
@@ -183,17 +211,95 @@ def run_with_timeout(worker, timeout: float | None, payload: dict) -> dict:
     try:
         return worker(payload)
     except JobTimeout:
-        return {
-            "status": "timeout",
-            "name": payload.get("name", "?"),
-            "error": f"exceeded {timeout:g}s budget",
-            "metrics": {},
-            "timing": {},
-            "seconds": timeout,
-        }
+        return failed_payload(
+            payload, "timeout", f"exceeded {timeout:g}s budget", timeout
+        )
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def record_job(
+    spec: JobSpec,
+    payload: dict | None,
+    status: str,
+    *,
+    from_cache: bool,
+    attempts: int,
+    kind: str,
+    registries: Sequence[Registry],
+    cache: ResultCache | None = None,
+    runlog: RunLog | None = None,
+    extra: dict | None = None,
+) -> None:
+    """Fold one finished job into counters, the result cache and the run
+    registry — the one completion path of batch (``kind="job"``) and
+    served (``kind="serve"``) jobs.
+
+    Every registry in ``registries`` counts the job and, for fresh work,
+    merges the worker's counters.  A fresh ``ok`` payload is stored in
+    ``cache`` without its :data:`TRANSIENT_KEYS`; a failed store costs
+    the entry (counted as ``service.cache_errors``), never the job.
+    ``extra`` (the gateway's ``job_id``/``trace_id``) lands in the run
+    record's ``extra`` beside the status fields.
+    """
+    payload = payload or {}
+    wall = float(payload.get("seconds", 0.0) or 0.0)
+    worker_counters = None if from_cache else payload.get("counters")
+    for reg in registries:
+        reg.inc("service.jobs")
+        reg.inc(f"service.status.{status}")
+        reg.inc("service.cache_hits" if from_cache else "service.cache_misses")
+        if not from_cache:
+            # Job wall time as a histogram so percentiles land in the
+            # run registry, not just the human-readable report dict.
+            reg.observe("service.job_wall_s", wall)
+        if worker_counters:
+            reg.merge(worker_counters)
+    log = get_logger("service.scheduler")
+    fields = {"job": spec.name, **(extra or {})}
+    if cache is not None and status == "ok" and not from_cache:
+        try:
+            cache.put(
+                spec, {k: v for k, v in payload.items() if k not in TRANSIENT_KEYS}
+            )
+        except OSError as exc:
+            for reg in registries:
+                reg.inc("service.cache_errors")
+            log.warning(
+                "cache write failed", extra={"fields": {**fields, "error": str(exc)}}
+            )
+    error = str(payload.get("error") or "")
+    if runlog is not None:
+        runlog.record(
+            kind=kind,
+            name=spec.name,
+            wall_seconds=wall,
+            spec_digest=spec.digest,
+            stages=stages_from_spans(payload.get("trace") or []),
+            counters=worker_counters or {"counters": {}, "histograms": {}},
+            metrics=dict(payload.get("metrics", {}) or {}),
+            failures={
+                net: {"reason": reason}
+                for net, reason in (payload.get("failure_reasons") or {}).items()
+            },
+            congestion=dict(payload.get("congestion", {}) or {}),
+            profile="",
+            profile_windows=list(payload.get("profile") or []),
+            extra={
+                "status": status,
+                "from_cache": from_cache,
+                "attempts": attempts,
+                "error": error,
+                **({"search": payload["search"]} if payload.get("search") else {}),
+                **(extra or {}),
+            },
+        )
+    if status != "ok":
+        log.warning(
+            "job did not finish ok",
+            extra={"fields": {**fields, "status": status, "error": error}},
+        )
 
 
 @dataclass
@@ -229,12 +335,6 @@ class BatchScheduler:
     #: fan out.  Only engages for the stock :func:`execute_job` worker.
     serial_threshold: float | None = 0.03
 
-    #: Payload keys that describe *how* a run went, not *what* it made —
-    #: merged into the parent's telemetry on arrival and kept out of the
-    #: result cache (a warm hit must not replay the original run's spans
-    #: or claim its profile windows).
-    TRANSIENT_KEYS = ("trace", "counters", "trace_id", "profile")
-
     def __post_init__(self) -> None:
         if self.max_workers < 1:
             raise ValueError("max_workers must be at least 1")
@@ -253,25 +353,13 @@ class BatchScheduler:
             nonlocal done
             outcomes[index] = outcome
             done += 1
-            self._record(outcome)
-            if (
-                self.cache is not None
-                and outcome.ok
-                and not outcome.from_cache
-            ):
-                try:
-                    self.cache.put(
-                        specs[index],
-                        {
-                            k: v
-                            for k, v in outcome.payload.items()
-                            if k not in self.TRANSIENT_KEYS
-                        },
-                    )
-                except OSError:
-                    # A failed store costs the cache entry, not the batch.
-                    self.counters.inc("service.cache_errors")
-                    get_registry().inc("service.cache_errors")
+            record_job(
+                outcome.spec, outcome.payload, outcome.status,
+                from_cache=outcome.from_cache, attempts=outcome.attempts,
+                kind="job", registries=(self.counters, get_registry()),
+                cache=self.cache, runlog=self.runlog,
+            )
+            self._adopt_spans(outcome)
             if progress is not None:
                 progress(outcome, done, len(specs))
 
@@ -280,9 +368,7 @@ class BatchScheduler:
             for i, spec in enumerate(specs):
                 payload = self.cache.get(spec) if self.cache is not None else None
                 if payload is not None:
-                    finish(
-                        i, JobOutcome(spec, payload["status"], payload, from_cache=True)
-                    )
+                    finish(i, JobOutcome.from_payload(spec, payload, from_cache=True))
                 else:
                     pending.append(i)
 
@@ -294,76 +380,23 @@ class BatchScheduler:
         assert all(o is not None for o in outcomes)
         return outcomes  # type: ignore[return-value]
 
-    def _record(self, outcome: JobOutcome) -> None:
-        """Fold one outcome's telemetry into the parent-process obs state:
-        worker spans are re-parented into the live trace, worker counters
-        merge into both the scheduler's and the global registry."""
-        registry = get_registry()
-        payload = outcome.payload or {}
-        job_wall = float(payload.get("seconds", 0.0) or 0.0)
-        for reg in (self.counters, registry):
-            reg.inc("service.jobs")
-            reg.inc(f"service.status.{outcome.status}")
-            reg.inc(
-                "service.cache_hits" if outcome.from_cache else "service.cache_misses"
-            )
-            if not outcome.from_cache:
-                # Job wall time as a histogram so percentiles land in the
-                # run registry, not just the human-readable report dict.
-                reg.observe("service.job_wall_s", job_wall)
-        worker_counters = payload.get("counters")
-        if worker_counters and not outcome.from_cache:
-            self.counters.merge(worker_counters)
-            registry.merge(worker_counters)
-        if self.runlog is not None:
-            self.runlog.record(
-                kind="job",
-                name=outcome.spec.name,
-                wall_seconds=job_wall,
-                spec_digest=outcome.spec.digest,
-                stages=stages_from_spans(payload.get("trace") or []),
-                counters=worker_counters or {"counters": {}, "histograms": {}},
-                metrics=outcome.metrics,
-                failures={
-                    net: {"reason": reason}
-                    for net, reason in outcome.failure_reasons.items()
-                },
-                congestion=dict(payload.get("congestion", {}) or {}),
-                profile="",
-                profile_windows=list(payload.get("profile") or []),
-                extra={
-                    "status": outcome.status,
-                    "from_cache": outcome.from_cache,
-                    "attempts": outcome.attempts,
-                    "error": outcome.error or "",
-                    **(
-                        {"search": payload["search"]}
-                        if payload.get("search") else {}
-                    ),
-                },
-            )
+    @staticmethod
+    def _adopt_spans(outcome: JobOutcome) -> None:
+        """Re-parent a fresh job's worker spans into the live trace (a
+        cache hit gets one marker span).  Batch-only: a batch ends, so
+        its trace stays bounded — a daemon's would not."""
         tracer = get_tracer()
-        if tracer.enabled:
-            job_label = f"job:{outcome.spec.name}"
-            roots = payload.get("trace") or []
-            if roots and not outcome.from_cache:
-                for root in roots:
-                    tracer.adopt(root, label=job_label)
-            else:
-                with tracer.span(job_label, status=outcome.status,
-                                 cached=outcome.from_cache):
-                    pass
-        if not outcome.ok:
-            get_logger("service.scheduler").warning(
-                "job did not finish ok",
-                extra={
-                    "fields": {
-                        "job": outcome.spec.name,
-                        "status": outcome.status,
-                        "error": outcome.error or "",
-                    }
-                },
-            )
+        if not tracer.enabled:
+            return
+        job_label = f"job:{outcome.spec.name}"
+        roots = (outcome.payload or {}).get("trace") or []
+        if roots and not outcome.from_cache:
+            for root in roots:
+                tracer.adopt(root, label=job_label)
+        else:
+            with tracer.span(job_label, status=outcome.status,
+                             cached=outcome.from_cache):
+                pass
 
     def _run_inline(self, payload: dict) -> dict:
         """Run one job in the parent process (the serial fast path).
@@ -401,32 +434,14 @@ class BatchScheduler:
             started = time.perf_counter()
             payload = self._run_inline(specs[probe].to_dict())
             probe_wall = time.perf_counter() - started
-        finish(
-            probe,
-            JobOutcome(
-                specs[probe],
-                payload.get("status", "error"),
-                payload,
-                attempts=1,
-                error=payload.get("error"),
-            ),
-        )
+        finish(probe, JobOutcome.from_payload(specs[probe], payload, attempts=1))
         if probe_wall > self.serial_threshold:
             return rest  # real work: fan the remainder out to processes
         for reg in (self.counters, get_registry()):
             reg.inc("service.serial_fast_path")
         for i in rest:
             payload = self._run_inline(specs[i].to_dict())
-            finish(
-                i,
-                JobOutcome(
-                    specs[i],
-                    payload.get("status", "error"),
-                    payload,
-                    attempts=1,
-                    error=payload.get("error"),
-                ),
-            )
+            finish(i, JobOutcome.from_payload(specs[i], payload, attempts=1))
         return []
 
     def _run_on_pool(
@@ -467,16 +482,7 @@ class BatchScheduler:
                 )
             for _ in indices:
                 i, payload, attempts = landed.get()
-                finish(
-                    i,
-                    JobOutcome(
-                        specs[i],
-                        payload.get("status", "error"),
-                        payload,
-                        attempts=attempts,
-                        error=payload.get("error"),
-                    ),
-                )
+                finish(i, JobOutcome.from_payload(specs[i], payload, attempts=attempts))
         finally:
             if pool is not self.pool:
                 pool.close(drain=False)

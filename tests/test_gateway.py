@@ -594,6 +594,147 @@ class TestSlowRequestCapture:
         assert config.runlog.runs(kind="slow") == []
 
 
+class TestJobCompletion:
+    """Batch and served jobs finish through one recorder, fail with one
+    payload shape and report one queue/exec split."""
+
+    def test_failed_payloads_share_one_key_set(self):
+        import threading
+
+        from repro.service.scheduler import execute_job, run_with_timeout
+
+        error = execute_job({"name": "bad"})
+        timeout = run_with_timeout(napping_worker, 0.05, {"name": "t", "nap": 5})
+        landed: dict[str, dict] = {}
+        both = threading.Event()
+
+        def keep(result, _attempts):
+            landed[result["status"]] = result
+            if len(landed) == 2:
+                both.set()
+
+        with WorkerPool(1, worker=always_crash_worker, poll_interval=0.05) as pool:
+            pool.submit({"name": "late"}, callback=keep, deadline=time.time() - 1.0)
+            pool.submit({"name": "doomed"}, callback=keep)
+            assert both.wait(30), landed
+        payloads = [error, timeout, landed["cancelled"], landed["crashed"]]
+        assert [p["status"] for p in payloads] == [
+            "error", "timeout", "cancelled", "crashed"
+        ]
+        assert len({frozenset(p) for p in payloads}) == 1
+
+    def test_slow_breakdown_matches_trace_tree_and_stage_window(self, tmp_path):
+        """The loop noticed the dispatch late (``started_at`` 10 ms before
+        the end) but the worker's forest spans 0.5 s: every report of the
+        split pulls exec start back to fit the forest."""
+        from repro.gateway.server import ArtworkGateway, ServedJob
+        from repro.obs import RunLog
+        from repro.obs.window import RollingWindow
+
+        class RecordingWindow(RollingWindow):
+            def __init__(self):
+                super().__init__()
+                self.seen: dict[str, list[float]] = {}
+
+            def observe(self, key, seconds, *, error=False):
+                self.seen.setdefault(key, []).append(seconds)
+                super().observe(key, seconds, error=error)
+
+        config = GatewayConfig(
+            workers=1, slow_threshold=0.0, runlog=RunLog(tmp_path / "runs.jsonl")
+        )
+        # Never started: _finish_job needs no worker or event loop.
+        gateway = ArtworkGateway(config, pool=WorkerPool(1, worker=echo_worker))
+        gateway.stage_windows = RecordingWindow()
+        spec = spec_for(seed=33)
+        now = time.time()
+        job = ServedJob("j000001", spec, spec.digest, received_at=now - 2.0)
+        job.submitted_at = now - 2.0
+        job.started_at = now - 0.01
+        forest = [{
+            "name": "job", "start": 50.0, "duration": 0.5,
+            "children": [{"name": "eureka.route", "start": 50.1, "duration": 0.3}],
+        }]
+        gateway._finish_job(
+            job,
+            {"status": "ok", "name": spec.name, "metrics": {}, "timing": {},
+             "seconds": 0.5, "trace": forest},
+            attempts=1,
+        )
+        slow, = config.runlog.runs(kind="slow")
+        breakdown = slow.extra["breakdown"]
+        tree = {child.name: child for child in job.trace_tree().children}
+        assert tree["worker.exec"].duration >= 0.5  # the forest fits
+        assert breakdown["queue_wait_s"] == round(tree["queue.wait"].duration, 6)
+        assert breakdown["worker_exec_s"] == round(tree["worker.exec"].duration, 6)
+        seen = gateway.stage_windows.seen
+        assert seen["queue.wait"] == [tree["queue.wait"].duration]
+        assert seen["worker.exec"] == [tree["worker.exec"].duration]
+        assert seen["eureka.route"] == [0.3]
+
+    def test_failed_serve_record_keeps_the_error(self, tmp_path):
+        from repro.faults import FaultRegistry, set_faults
+        from repro.obs import RunLog
+
+        config = GatewayConfig(workers=1, runlog=RunLog(tmp_path / "runs.jsonl"))
+        set_faults(FaultRegistry("worker.exec=io"))  # forked into the worker
+        try:
+            with start_gateway(config) as served:
+                with HttpClient("127.0.0.1", served.port) as c:
+                    final = submit_and_wait(c, spec_for(seed=34))
+        finally:
+            set_faults(FaultRegistry(""))
+        assert final["status"] == "error"
+        record, = config.runlog.runs(kind="serve")
+        assert record.extra["status"] == "error"
+        assert record.extra["error"] == final["error"]
+        assert "FaultInjected" in record.extra["error"]
+
+    def test_failed_store_counts_service_cache_errors(self, tmp_path):
+        from repro.faults import FaultRegistry, set_faults
+
+        config = GatewayConfig(workers=1, cache=ResultCache(tmp_path / "cache"))
+        set_faults(FaultRegistry("cache.write=io"))
+        try:
+            with start_gateway(config) as served:
+                with HttpClient("127.0.0.1", served.port) as c:
+                    final = submit_and_wait(c, spec_for(seed=35))
+                    totals = c.get("/v1/stats").json()["totals"]
+                registry = served.gateway.registry
+        finally:
+            set_faults(FaultRegistry(""))
+        assert final["status"] == "ok"  # the store failed, not the job
+        assert totals["service.cache_errors"] == 1
+        assert "gateway.cache_errors" not in totals
+        assert registry.get("gateway.cache_errors") == 0  # reads only
+
+    def test_batch_and_served_records_agree(self, tmp_path):
+        from repro.obs import RunLog
+        from repro.service import BatchScheduler
+
+        spec = spec_for(seed=36)
+        batch_log = RunLog(tmp_path / "batch.jsonl")
+        BatchScheduler(max_workers=1, runlog=batch_log).run([spec])
+        config = GatewayConfig(workers=1, runlog=RunLog(tmp_path / "serve.jsonl"))
+        with start_gateway(config) as served:
+            with HttpClient("127.0.0.1", served.port) as c:
+                submit_and_wait(c, spec)
+        job, = batch_log.runs(kind="job")
+        serve, = config.runlog.runs(kind="serve")
+        assert job.spec_digest == serve.spec_digest
+        assert job.metrics == serve.metrics and job.metrics
+        assert job.failures == serve.failures
+        assert job.congestion == serve.congestion
+        # Stage wall times differ run to run; which stages ran, and how
+        # often, must not.
+        assert {k: v["count"] for k, v in job.stages.items()} == {
+            k: v["count"] for k, v in serve.stages.items()
+        }
+        assert set(serve.extra) - set(job.extra) == {"job_id", "trace_id"}
+        assert set(job.extra) <= set(serve.extra)
+        assert job.extra["error"] == serve.extra["error"] == ""
+
+
 class TestProfiler:
     def test_on_demand_profile_returns_flamegraph(self, client):
         captured = client.post("/v1/profile?seconds=0.3", {})

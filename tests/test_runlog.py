@@ -128,6 +128,25 @@ class TestRunLogIO:
         assert runlog.find(latest_a.run_id[:6]).run_id == latest_a.run_id
         assert runlog.find("zzzzzz") is None
 
+    def test_git_revision_is_asked_once_per_process(self, runlog, registry, monkeypatch):
+        import repro.obs.runlog as runlog_module
+
+        calls = []
+        real_run = runlog_module.subprocess.run
+
+        def counting_run(argv, *args, **kwargs):
+            if argv[0] == "git":
+                calls.append(argv)
+            return real_run(argv, *args, **kwargs)
+
+        monkeypatch.setattr(runlog_module.subprocess, "run", counting_run)
+        if hasattr(runlog_module, "_git_rev_at"):
+            runlog_module._git_rev_at.cache_clear()
+        first = runlog.record(kind="artwork", name="a")
+        second = runlog.record(kind="artwork", name="b")
+        assert len(calls) == 1
+        assert first.git_rev == second.git_rev
+
     def test_stages_from_spans_flattens_worker_trees(self):
         roots = [
             {

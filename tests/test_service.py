@@ -195,6 +195,25 @@ class TestResultCache:
         assert cache.stats.evictions == 1
 
 
+    def test_failed_lru_refresh_keeps_the_hit(self, tmp_path, monkeypatch):
+        """A concurrent trim that removes the entry between the read and
+        the LRU refresh must not turn a good read into a miss or a crash."""
+        cache = ResultCache(tmp_path)
+        spec = specs_for(1)[0]
+        cache.put(spec, execute_job(spec.to_dict()))
+
+        def gone(path, *args, **kwargs):
+            raise FileNotFoundError(2, "trimmed by another process", str(path))
+
+        monkeypatch.setattr(os, "utime", gone)
+        hit = cache.get(spec)
+        assert hit is not None and hit["status"] == "ok"
+        assert cache.stats.hits == 1 and cache.stats.corrupt == 0
+        outcome, = BatchScheduler(max_workers=1, cache=cache).run([spec])
+        assert outcome.ok and outcome.from_cache
+        assert cache.stats.hits == 2
+
+
 class TestScheduler:
     def test_serial_and_parallel_agree(self, tmp_path):
         specs = specs_for(4)
